@@ -11,7 +11,7 @@ use coterie_device::DeviceProfile;
 use coterie_frame::{ssim, ssim_with_simd, LumaFrame, SsimOptions};
 use coterie_parallel::simd;
 use coterie_render::{RenderFilter, RenderOptions, Renderer};
-use coterie_serve::{SharedFrameStore, StoreConfig};
+use coterie_serve::{LocalStore, StoreConfig};
 use coterie_telemetry::{Stage, TelemetryConfig, TelemetrySink, TrackId};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Vec2};
 
@@ -170,7 +170,7 @@ fn bench_cutoff(c: &mut Criterion) {
 fn bench_fleet_store(c: &mut Criterion) {
     // The fleet's sharded store on the hot path: a similar-match lookup
     // against a populated shard, and the insert + global-budget path.
-    let store = SharedFrameStore::new(StoreConfig::default());
+    let store = LocalStore::new(StoreConfig::default());
     for i in 0..2000i32 {
         let pos = Vec2::new((i % 100) as f64, (i / 100) as f64);
         store.insert(
@@ -181,6 +181,7 @@ fn bench_fleet_store(c: &mut Criterion) {
                 leaf: LeafId((i % 16) as u32),
                 near_hash: 1,
             },
+            (),
             1024,
         );
     }
@@ -207,6 +208,7 @@ fn bench_fleet_store(c: &mut Criterion) {
                     leaf: LeafId((n % 16) as u32),
                     near_hash: 2,
                 },
+                (),
                 black_box(1024),
             )
         })

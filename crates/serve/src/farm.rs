@@ -196,7 +196,7 @@ impl PrerenderFarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{SharedFrameStore, StoreConfig};
+    use crate::store::{LocalStore, StoreConfig};
     use coterie_core::CacheQuery;
     use coterie_world::LeafId;
 
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn backfill_makes_neighbors_hit() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
         assert_eq!(farm.pending(), 2);
@@ -227,12 +227,12 @@ mod tests {
             near_hash: 77,
             dist_thresh: 0.1,
         };
-        assert!(store.lookup(GameId::VikingVillage, &q));
+        assert!(store.lookup(GameId::VikingVillage, &q).is_some());
     }
 
     #[test]
     fn duplicate_jobs_render_once() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         for _ in 0..5 {
             farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
@@ -248,7 +248,7 @@ mod tests {
         // A blind neighbour and a predicted job land on the same grid
         // point; the predicted (higher-scored) copy must win the dedup
         // even though it was queued later.
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let mut farm = PrerenderFarm::new();
         farm.enqueue_neighbors(0, GameId::VikingVillage, miss_meta(), 400_000, 0.4);
         let neighbor = FrameMeta {

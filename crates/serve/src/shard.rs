@@ -416,7 +416,7 @@ impl ShardFabric {
             }
             WireMessage::ShardAdvert { entries, .. } => {
                 for e in entries {
-                    if self.replicas[p].insert(e.game, meta_of(&e), e.bytes) {
+                    if self.replicas[p].insert(e.game, meta_of(&e), (), e.bytes) {
                         self.replica_inserts.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -511,16 +511,19 @@ impl FrameStore for ShardedStore {
     fn lookup(&self, game: GameId, query: &CacheQuery) -> bool {
         let owner = self.fabric.ring.owner(game, query.leaf.0) as usize;
         if owner == self.worker {
-            return self.fabric.partitions[owner].lookup(game, query);
+            return self.fabric.partitions[owner].lookup(game, query).is_some();
         }
         // Remote-owned leaf: hot-replica cache first (a local hit
         // avoids the forward entirely), owner partition on miss.
-        if self.fabric.replicas[self.worker].lookup(game, query) {
+        if self.fabric.replicas[self.worker]
+            .lookup(game, query)
+            .is_some()
+        {
             self.fabric.replica_hits.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         self.fabric.forwards.fetch_add(1, Ordering::Relaxed);
-        self.fabric.partitions[owner].lookup(game, query)
+        self.fabric.partitions[owner].lookup(game, query).is_some()
     }
 
     fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool {
@@ -528,7 +531,7 @@ impl FrameStore for ShardedStore {
         if owner != self.worker {
             self.fabric.forwards.fetch_add(1, Ordering::Relaxed);
         }
-        self.fabric.partitions[owner].insert(game, meta, size_bytes)
+        self.fabric.partitions[owner].insert(game, meta, (), size_bytes)
     }
 
     fn insert_speculative(
@@ -542,7 +545,7 @@ impl FrameStore for ShardedStore {
         if owner != self.worker {
             self.fabric.forwards.fetch_add(1, Ordering::Relaxed);
         }
-        self.fabric.partitions[owner].insert_speculative(game, meta, size_bytes, reuse_score)
+        self.fabric.partitions[owner].insert_speculative(game, meta, (), size_bytes, reuse_score)
     }
 
     fn stats(&self) -> StoreStats {

@@ -12,8 +12,7 @@
 //! program against the [`FrameStore`] trait, so the backend is
 //! swappable at construction time:
 //!
-//! - [`LocalStore`] — one in-process store (this module), the original
-//!   `SharedFrameStore` behaviour byte for byte.
+//! - [`LocalStore`] — one in-process store (this module).
 //! - [`crate::ShardedStore`] — a fleet-wide store partitioned across
 //!   worker processes by consistent hashing (see [`crate::shard`]).
 //!
@@ -25,6 +24,12 @@
 //! budget spans all stripes; eviction runs one *global* LRU by stamping
 //! every stripe from one atomic clock and always evicting from the
 //! stripe holding the globally oldest entry.
+//!
+//! A [`LocalStore<T>`] owns one payload `T` per frame and a lookup hit
+//! hands back a clone of it, so a hit is a frame that needs no render.
+//! The simulator models frames by identity and size only and uses
+//! `T = ()` behind the [`FrameStore`] trait; the socket serving plane
+//! stores the encoded frames themselves.
 
 use crate::farm::render_cost_ms;
 use coterie_core::{
@@ -189,14 +194,15 @@ impl StoreStats {
     }
 }
 
-/// The backend API every frame-store consumer programs against.
+/// The metadata-only backend API the simulator programs against.
 ///
-/// `Room`, the pre-render farm and the socket serving plane take
-/// `&dyn FrameStore` / `Arc<dyn FrameStore>`, so the backend is chosen
-/// once at construction (`--store local|sharded`) and nothing else in
-/// the pipeline knows which one it got. All methods take `&self` —
-/// backends are internally synchronized — and `Send + Sync` is a
-/// supertrait so trait objects cross worker threads.
+/// `Room`, the pre-render farm and the fleet take `&dyn FrameStore` /
+/// `Arc<dyn FrameStore>`, so the backend is chosen once at construction
+/// (`--store local|sharded`) and nothing else in the pipeline knows
+/// which one it got. Simulated frames have identity and size but no
+/// pixels, so a lookup answers only whether a frame qualifies. All
+/// methods take `&self` — backends are internally synchronized — and
+/// `Send + Sync` is a supertrait so trait objects cross worker threads.
 pub trait FrameStore: Send + Sync {
     /// Looks up a frame for `query` among every frame any session of
     /// `game` has contributed, applying the paper's three criteria
@@ -241,7 +247,7 @@ pub trait FrameStore: Send + Sync {
     }
 }
 
-/// Per-frame store bookkeeping carried as the cache payload: how the
+/// Per-frame store bookkeeping carried beside the payload: how the
 /// frame came to exist and what keeping it is worth.
 #[derive(Debug, Clone, Copy)]
 struct FrameTag {
@@ -254,11 +260,8 @@ struct FrameTag {
 }
 
 /// One lock-striped stripe: the leaf caches of every `(game, leaf)`
-/// pair that hashes to it.
-#[derive(Debug, Default)]
-struct Stripe {
-    caches: HashMap<(GameId, u32), FrameCache<FrameTag>>,
-}
+/// pair that hashes to it, each entry a tag beside its payload.
+type Stripe<T> = HashMap<(GameId, u32), FrameCache<(FrameTag, T)>>;
 
 /// A recent insert, recorded for the sharded backend's epoch-batched
 /// hot-entry adverts.
@@ -280,8 +283,9 @@ pub struct RecentInsert {
 /// an owner that is never drained cannot grow without bound.
 const RECENT_CAP: usize = 1024;
 
-/// The in-process [`FrameStore`] backend: one store shared by every
-/// room of the fleet (or one partition of the sharded fabric).
+/// The in-process store: one store shared by every room of the fleet
+/// (or one partition of the sharded fabric), owning a payload `T` per
+/// frame. `LocalStore<()>` is the simulator's [`FrameStore`] backend.
 ///
 /// Thread-safe (atomics + per-stripe mutexes). Determinism note: the
 /// store itself is deterministic for a fixed *sequence* of operations;
@@ -289,9 +293,9 @@ const RECENT_CAP: usize = 1024;
 /// store mutations (the [`crate::Fleet`] epoch loop visits rooms in id
 /// order for exactly this reason).
 #[derive(Debug)]
-pub struct LocalStore {
+pub struct LocalStore<T = ()> {
     config: StoreConfig,
-    stripes: Vec<Mutex<Stripe>>,
+    stripes: Vec<Mutex<Stripe<T>>>,
     /// Global logical clock; every operation takes a unique ticket so
     /// `last_access` stamps are totally ordered across stripes. Shared
     /// (`Arc`) so the sharded fabric can stamp all its partitions from
@@ -319,11 +323,7 @@ pub struct LocalStore {
     spec_rejected: AtomicU64,
 }
 
-/// The pre-trait name of [`LocalStore`], kept as an alias so existing
-/// call sites and docs keep compiling unchanged.
-pub type SharedFrameStore = LocalStore;
-
-impl LocalStore {
+impl<T: Clone> LocalStore<T> {
     /// Creates an empty store.
     ///
     /// # Panics
@@ -395,7 +395,7 @@ impl LocalStore {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().caches.values().map(FrameCache::len).sum::<usize>())
+            .map(|s| s.lock().values().map(FrameCache::len).sum::<usize>())
             .sum()
     }
 
@@ -456,31 +456,25 @@ impl LocalStore {
     /// Looks up a frame for `query` among every frame any session of
     /// `game` has contributed. Applies the paper's three criteria with
     /// the closest qualifying frame winning; a hit refreshes the
-    /// frame's global recency.
-    pub fn lookup(&self, game: GameId, query: &CacheQuery) -> bool {
+    /// frame's global recency and returns a clone of its payload.
+    pub fn lookup(&self, game: GameId, query: &CacheQuery) -> Option<T> {
         let ticket = self.fresh_ticket();
         let mut stripe = self.stripes[self.stripe_index(game, query.leaf.0)].lock();
         let mut spec_hit = false;
         let mut first_use = false;
-        let hit = match stripe.caches.get_mut(&(game, query.leaf.0)) {
-            Some(cache) => {
-                cache.advance_clock(ticket);
-                match cache.lookup_mut(query) {
-                    Some(tag) => {
-                        if tag.speculative {
-                            spec_hit = true;
-                            first_use = !tag.used;
-                        }
-                        tag.used = true;
-                        true
-                    }
-                    None => false,
+        let hit = stripe.get_mut(&(game, query.leaf.0)).and_then(|cache| {
+            cache.advance_clock(ticket);
+            cache.lookup_mut(query).map(|(tag, payload)| {
+                if tag.speculative {
+                    spec_hit = true;
+                    first_use = !tag.used;
                 }
-            }
-            None => false,
-        };
+                tag.used = true;
+                payload.clone()
+            })
+        });
         drop(stripe);
-        if hit {
+        if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             if spec_hit {
                 self.spec_hits.fetch_add(1, Ordering::Relaxed);
@@ -495,10 +489,11 @@ impl LocalStore {
     }
 
     /// Inserts a demand-rendered frame contributed by any session of
-    /// `game`. Duplicates (a frame already covering the exact position,
-    /// leaf and near set at the same size) are skipped so backfill
-    /// cannot bloat the store. Returns whether the frame was admitted.
-    pub fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool {
+    /// `game`, with its payload. Duplicates (a frame already covering
+    /// the exact position, leaf and near set at the same size) are
+    /// skipped so backfill cannot bloat the store. Returns whether the
+    /// frame was admitted.
+    pub fn insert(&self, game: GameId, meta: FrameMeta, payload: T, size_bytes: u64) -> bool {
         self.insert_tagged(
             game,
             meta,
@@ -508,6 +503,7 @@ impl LocalStore {
                 used: false,
                 value: 0.0,
             },
+            payload,
         )
     }
 
@@ -521,6 +517,7 @@ impl LocalStore {
         &self,
         game: GameId,
         meta: FrameMeta,
+        payload: T,
         size_bytes: u64,
         reuse_score: f64,
     ) -> bool {
@@ -545,6 +542,7 @@ impl LocalStore {
                 used: false,
                 value,
             },
+            payload,
         );
         if admitted {
             self.spec_rendered.fetch_add(1, Ordering::Relaxed);
@@ -558,8 +556,8 @@ impl LocalStore {
         let mut victim: Option<(u64, f64)> = None;
         for stripe in &self.stripes {
             let stripe = stripe.lock();
-            for cache in stripe.caches.values() {
-                if let Some((stamp, tag)) = cache.oldest_entry() {
+            for cache in stripe.values() {
+                if let Some((stamp, (tag, _))) = cache.oldest_entry() {
                     if victim.map(|(v, _)| stamp < v).unwrap_or(true) {
                         victim = Some((stamp, tag.value));
                     }
@@ -577,7 +575,7 @@ impl LocalStore {
         let mut oldest: Option<u64> = None;
         for stripe in &self.stripes {
             let stripe = stripe.lock();
-            for cache in stripe.caches.values() {
+            for cache in stripe.values() {
                 if let Some(stamp) = cache.oldest_access() {
                     if oldest.map(|v| stamp < v).unwrap_or(true) {
                         oldest = Some(stamp);
@@ -596,7 +594,7 @@ impl LocalStore {
         let mut victim: Option<(usize, (GameId, u32), u64)> = None;
         for (si, stripe) in self.stripes.iter().enumerate() {
             let stripe = stripe.lock();
-            for (key, cache) in &stripe.caches {
+            for (key, cache) in stripe.iter() {
                 if let Some(oldest) = cache.oldest_access() {
                     if victim.map(|(_, _, v)| oldest < v).unwrap_or(true) {
                         victim = Some((si, *key, oldest));
@@ -606,17 +604,24 @@ impl LocalStore {
         }
         let (si, key, _) = victim?;
         let mut stripe = self.stripes[si].lock();
-        let cache = stripe.caches.get_mut(&key)?;
+        let cache = stripe.get_mut(&key)?;
         let freed = cache.evict_lru()?;
         self.bytes.fetch_sub(freed, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Some(freed)
     }
 
-    fn insert_tagged(&self, game: GameId, meta: FrameMeta, size_bytes: u64, tag: FrameTag) -> bool {
+    fn insert_tagged(
+        &self,
+        game: GameId,
+        meta: FrameMeta,
+        size_bytes: u64,
+        tag: FrameTag,
+        payload: T,
+    ) -> bool {
         let ticket = self.fresh_ticket();
         let mut stripe = self.stripes[self.stripe_index(game, meta.leaf.0)].lock();
-        let cache = stripe.caches.entry((game, meta.leaf.0)).or_insert_with(|| {
+        let cache = stripe.entry((game, meta.leaf.0)).or_insert_with(|| {
             FrameCache::new(CacheConfig {
                 capacity_bytes: u64::MAX, // budget is enforced globally
                 policy: EvictionPolicy::Lru,
@@ -651,7 +656,13 @@ impl LocalStore {
             None => {}
         }
         cache.advance_clock(ticket);
-        cache.insert(meta, FrameSource::Fleet, tag, size_bytes, meta.pos);
+        cache.insert(
+            meta,
+            FrameSource::Fleet,
+            (tag, payload),
+            size_bytes,
+            meta.pos,
+        );
         drop(stripe);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if replaced {
@@ -684,7 +695,7 @@ impl LocalStore {
             let mut victim: Option<(usize, (GameId, u32), u64)> = None;
             for (si, stripe) in self.stripes.iter().enumerate() {
                 let stripe = stripe.lock();
-                for (key, cache) in &stripe.caches {
+                for (key, cache) in stripe.iter() {
                     if let Some(oldest) = cache.oldest_access() {
                         if victim.map(|(_, _, v)| oldest < v).unwrap_or(true) {
                             victim = Some((si, *key, oldest));
@@ -699,7 +710,7 @@ impl LocalStore {
             // another thread may have emptied it between passes; the
             // outer loop simply rescans then.
             let mut stripe = self.stripes[si].lock();
-            if let Some(cache) = stripe.caches.get_mut(&key) {
+            if let Some(cache) = stripe.get_mut(&key) {
                 if let Some(freed) = cache.evict_lru() {
                     self.bytes.fetch_sub(freed, Ordering::Relaxed);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -711,11 +722,11 @@ impl LocalStore {
 
 impl FrameStore for LocalStore {
     fn lookup(&self, game: GameId, query: &CacheQuery) -> bool {
-        LocalStore::lookup(self, game, query)
+        LocalStore::lookup(self, game, query).is_some()
     }
 
     fn insert(&self, game: GameId, meta: FrameMeta, size_bytes: u64) -> bool {
-        LocalStore::insert(self, game, meta, size_bytes)
+        LocalStore::insert(self, game, meta, (), size_bytes)
     }
 
     fn insert_speculative(
@@ -725,7 +736,7 @@ impl FrameStore for LocalStore {
         size_bytes: u64,
         reuse_score: f64,
     ) -> bool {
-        LocalStore::insert_speculative(self, game, meta, size_bytes, reuse_score)
+        LocalStore::insert_speculative(self, game, meta, (), size_bytes, reuse_score)
     }
 
     fn stats(&self) -> StoreStats {
@@ -775,12 +786,14 @@ mod tests {
 
     #[test]
     fn cross_session_frames_hit_without_session_id() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
         // "Session A" contributes; "session B" asks for a nearby point.
-        assert!(store.insert(GameId::VikingVillage, m, 500_000));
+        assert!(store.insert(GameId::VikingVillage, m, (), 500_000));
         let near = meta(11, 10, 3, 7);
-        assert!(store.lookup(GameId::VikingVillage, &query(&near, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&near, 0.5))
+            .is_some());
         assert_eq!(store.stats().hits, 1);
         assert!((store.stats().hit_ratio() - 1.0).abs() < 1e-12);
     }
@@ -802,40 +815,62 @@ mod tests {
     }
 
     #[test]
-    fn games_are_isolated() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+    fn hits_return_the_payload_the_store_owns() {
+        let store: LocalStore<u32> = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
-        store.insert(GameId::VikingVillage, m, 100);
+        assert!(store.insert(GameId::Fps, m, 41, 100));
+        assert_eq!(
+            store.lookup(GameId::Fps, &query(&meta(11, 10, 3, 7), 0.5)),
+            Some(41)
+        );
+        // A same-key replacement swaps the payload with the bytes.
+        assert!(store.insert(GameId::Fps, m, 42, 120));
+        assert_eq!(store.lookup(GameId::Fps, &query(&m, 0.0)), Some(42));
+        assert_eq!(
+            store.lookup(GameId::Fps, &query(&meta(90, 10, 3, 7), 0.5)),
+            None
+        );
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+    }
+
+    #[test]
+    fn games_are_isolated() {
+        let store = LocalStore::new(StoreConfig::default());
+        let m = meta(10, 10, 3, 7);
+        store.insert(GameId::VikingVillage, m, (), 100);
         assert!(
-            !store.lookup(GameId::Fps, &query(&m, 5.0)),
+            store.lookup(GameId::Fps, &query(&m, 5.0)).is_none(),
             "a frame from one game must never serve another"
         );
     }
 
     #[test]
     fn three_criteria_still_apply() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
-        store.insert(GameId::VikingVillage, m, 100);
+        store.insert(GameId::VikingVillage, m, (), 100);
         // Wrong leaf.
         let mut q = query(&m, 5.0);
         q.leaf = LeafId(4);
-        assert!(!store.lookup(GameId::VikingVillage, &q));
+        assert!(store.lookup(GameId::VikingVillage, &q).is_none());
         // Wrong near set.
         let mut q = query(&m, 5.0);
         q.near_hash = 8;
-        assert!(!store.lookup(GameId::VikingVillage, &q));
+        assert!(store.lookup(GameId::VikingVillage, &q).is_none());
         // Too far.
         let far = meta(80, 10, 3, 7);
-        assert!(!store.lookup(GameId::VikingVillage, &query(&far, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&far, 0.5))
+            .is_none());
     }
 
     #[test]
     fn duplicates_are_skipped() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
-        assert!(store.insert(GameId::VikingVillage, m, 100));
-        assert!(!store.insert(GameId::VikingVillage, m, 100));
+        assert!(store.insert(GameId::VikingVillage, m, (), 100));
+        assert!(!store.insert(GameId::VikingVillage, m, (), 100));
         assert_eq!(store.len(), 1);
         assert_eq!(store.stats().duplicates, 1);
         assert_eq!(store.bytes(), 100);
@@ -849,12 +884,12 @@ mod tests {
         // repeated re-encodes made `bytes()` drift away from the true
         // sum of entry sizes; now the old size is debited before the
         // new one is credited.
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
-        assert!(store.insert(GameId::VikingVillage, m, 100));
+        assert!(store.insert(GameId::VikingVillage, m, (), 100));
         assert_eq!(store.bytes(), 100);
         // Same key, larger payload (re-rendered at a higher quality).
-        assert!(store.insert(GameId::VikingVillage, m, 900));
+        assert!(store.insert(GameId::VikingVillage, m, (), 900));
         assert_eq!(store.len(), 1, "replacement must not add an entry");
         assert_eq!(
             store.bytes(),
@@ -862,7 +897,7 @@ mod tests {
             "budget must track the live payload, not the original insert"
         );
         // And shrink back down.
-        assert!(store.insert(GameId::VikingVillage, m, 40));
+        assert!(store.insert(GameId::VikingVillage, m, (), 40));
         assert_eq!(store.len(), 1);
         assert_eq!(store.bytes(), 40);
         let stats = store.stats();
@@ -872,7 +907,7 @@ mod tests {
         // the budget must still equal the single live entry's size.
         for round in 0..200u64 {
             let size = 50 + (round * 37) % 400;
-            store.insert(GameId::VikingVillage, m, size);
+            store.insert(GameId::VikingVillage, m, (), size);
             assert_eq!(store.len(), 1);
             let expect = if store.stats().duplicates > 0 {
                 store.bytes() // a same-size round is a no-op
@@ -885,10 +920,10 @@ mod tests {
 
     #[test]
     fn same_size_reinsert_is_still_a_duplicate() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let m = meta(10, 10, 3, 7);
-        assert!(store.insert(GameId::VikingVillage, m, 100));
-        assert!(!store.insert(GameId::VikingVillage, m, 100));
+        assert!(store.insert(GameId::VikingVillage, m, (), 100));
+        assert!(!store.insert(GameId::VikingVillage, m, (), 100));
         assert_eq!(store.stats().duplicates, 1);
         assert_eq!(store.stats().replacements, 0);
         assert_eq!(store.bytes(), 100);
@@ -896,16 +931,20 @@ mod tests {
 
     #[test]
     fn speculative_frames_are_tracked_through_use() {
-        let store = SharedFrameStore::new(StoreConfig::default());
+        let store = LocalStore::new(StoreConfig::default());
         let a = meta(10, 10, 3, 7);
         let b = meta(20, 20, 3, 7);
-        assert!(store.insert_speculative(GameId::VikingVillage, a, 100, 1.0));
-        assert!(store.insert_speculative(GameId::VikingVillage, b, 100, 1.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, a, (), 100, 1.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, b, (), 100, 1.0));
         assert_eq!(store.stats().spec_rendered, 2);
         // Two hits on the same speculative frame: spec_hits counts
         // both, spec_used counts the frame once.
-        assert!(store.lookup(GameId::VikingVillage, &query(&a, 0.5)));
-        assert!(store.lookup(GameId::VikingVillage, &query(&a, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&a, 0.5))
+            .is_some());
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&a, 0.5))
+            .is_some());
         let stats = store.stats();
         assert_eq!(stats.spec_hits, 2);
         assert_eq!(stats.spec_used, 1);
@@ -915,31 +954,33 @@ mod tests {
 
     #[test]
     fn cost_aware_admission_refuses_low_value_speculation() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             admission: Admission::CostAware,
         });
         let a = meta(10, 10, 1, 7);
         let b = meta(10, 10, 2, 7);
-        assert!(store.insert_speculative(GameId::VikingVillage, a, 150, 5.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, a, (), 150, 5.0));
         // Over budget, but worth more than the resident frame: admitted
         // (and the LRU evicts `a`).
-        assert!(store.insert_speculative(GameId::VikingVillage, b, 150, 6.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, b, (), 150, 6.0));
         // A near-zero reuse score is worth less than the resident
         // frame, so the insert is refused and nothing is evicted.
         let c = meta(10, 10, 3, 7);
-        assert!(!store.insert_speculative(GameId::VikingVillage, c, 150, 0.0));
+        assert!(!store.insert_speculative(GameId::VikingVillage, c, (), 150, 0.0));
         assert_eq!(store.stats().spec_rejected, 1);
-        assert!(store.lookup(GameId::VikingVillage, &query(&b, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&b, 0.5))
+            .is_some());
         // A high-value candidate still gets in (and LRU evicts).
         let d = meta(10, 10, 4, 7);
-        assert!(store.insert_speculative(GameId::VikingVillage, d, 150, 50.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, d, (), 150, 50.0));
     }
 
     #[test]
     fn lru_admission_always_admits_speculation() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
@@ -947,9 +988,9 @@ mod tests {
         let a = meta(10, 10, 1, 7);
         let b = meta(10, 10, 2, 7);
         let c = meta(10, 10, 3, 7);
-        assert!(store.insert_speculative(GameId::VikingVillage, a, 150, 5.0));
-        assert!(store.insert_speculative(GameId::VikingVillage, b, 150, 5.0));
-        assert!(store.insert_speculative(GameId::VikingVillage, c, 150, 0.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, a, (), 150, 5.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, b, (), 150, 5.0));
+        assert!(store.insert_speculative(GameId::VikingVillage, c, (), 150, 0.0));
         assert_eq!(store.stats().spec_rejected, 0);
         assert!(store.stats().evictions > 0);
     }
@@ -959,7 +1000,7 @@ mod tests {
         // Three frames of 100 B in *different leaves* (hence different
         // stripes) under a 250 B budget: the first-inserted frame is
         // the globally oldest and must be the one evicted.
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
@@ -967,41 +1008,53 @@ mod tests {
         let a = meta(10, 10, 1, 7);
         let b = meta(10, 10, 2, 7);
         let c = meta(10, 10, 3, 7);
-        store.insert(GameId::VikingVillage, a, 100);
-        store.insert(GameId::VikingVillage, b, 100);
-        store.insert(GameId::VikingVillage, c, 100);
+        store.insert(GameId::VikingVillage, a, (), 100);
+        store.insert(GameId::VikingVillage, b, (), 100);
+        store.insert(GameId::VikingVillage, c, (), 100);
         assert_eq!(store.len(), 2);
         assert_eq!(store.stats().evictions, 1);
         assert!(store.bytes() <= 250);
         assert!(
-            !store.lookup(GameId::VikingVillage, &query(&a, 0.5)),
+            store
+                .lookup(GameId::VikingVillage, &query(&a, 0.5))
+                .is_none(),
             "oldest evicted"
         );
-        assert!(store.lookup(GameId::VikingVillage, &query(&b, 0.5)));
-        assert!(store.lookup(GameId::VikingVillage, &query(&c, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&b, 0.5))
+            .is_some());
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&c, 0.5))
+            .is_some());
     }
 
     #[test]
     fn hits_refresh_global_recency() {
-        let store = SharedFrameStore::new(StoreConfig {
+        let store = LocalStore::new(StoreConfig {
             capacity_bytes: 250,
             shards: 4,
             ..StoreConfig::default()
         });
         let a = meta(10, 10, 1, 7);
         let b = meta(10, 10, 2, 7);
-        store.insert(GameId::VikingVillage, a, 100);
-        store.insert(GameId::VikingVillage, b, 100);
+        store.insert(GameId::VikingVillage, a, (), 100);
+        store.insert(GameId::VikingVillage, b, (), 100);
         // Touch a: b becomes globally oldest.
-        assert!(store.lookup(GameId::VikingVillage, &query(&a, 0.5)));
+        assert!(store
+            .lookup(GameId::VikingVillage, &query(&a, 0.5))
+            .is_some());
         let c = meta(10, 10, 3, 7);
-        store.insert(GameId::VikingVillage, c, 100);
+        store.insert(GameId::VikingVillage, c, (), 100);
         assert!(
-            store.lookup(GameId::VikingVillage, &query(&a, 0.5)),
+            store
+                .lookup(GameId::VikingVillage, &query(&a, 0.5))
+                .is_some(),
             "refreshed frame kept"
         );
         assert!(
-            !store.lookup(GameId::VikingVillage, &query(&b, 0.5)),
+            store
+                .lookup(GameId::VikingVillage, &query(&b, 0.5))
+                .is_none(),
             "stale frame evicted"
         );
     }
@@ -1014,16 +1067,20 @@ mod tests {
         let clock = Arc::new(AtomicU64::new(0));
         let a = LocalStore::new_with_clock(StoreConfig::default(), clock.clone());
         let b = LocalStore::new_with_clock(StoreConfig::default(), clock);
-        a.insert(GameId::Fps, meta(1, 1, 1, 7), 100);
-        b.insert(GameId::Fps, meta(2, 2, 2, 7), 100);
-        a.insert(GameId::Fps, meta(3, 3, 3, 7), 100);
+        a.insert(GameId::Fps, meta(1, 1, 1, 7), (), 100);
+        b.insert(GameId::Fps, meta(2, 2, 2, 7), (), 100);
+        a.insert(GameId::Fps, meta(3, 3, 3, 7), (), 100);
         let oldest_a = a.oldest_stamp().unwrap();
         let oldest_b = b.oldest_stamp().unwrap();
         assert!(oldest_a < oldest_b, "a's first insert is globally oldest");
         // Evicting the global minimum frees a's first frame.
         assert_eq!(a.evict_oldest(), Some(100));
-        assert!(!a.lookup(GameId::Fps, &query(&meta(1, 1, 1, 7), 0.1)));
-        assert!(a.lookup(GameId::Fps, &query(&meta(3, 3, 3, 7), 0.1)));
+        assert!(a
+            .lookup(GameId::Fps, &query(&meta(1, 1, 1, 7), 0.1))
+            .is_none());
+        assert!(a
+            .lookup(GameId::Fps, &query(&meta(3, 3, 3, 7), 0.1))
+            .is_some());
     }
 
     #[test]
@@ -1033,25 +1090,25 @@ mod tests {
             shards: 4,
             ..StoreConfig::default()
         });
-        store.insert(GameId::Fps, meta(1, 1, 1, 7), 400);
-        store.insert(GameId::Fps, meta(2, 2, 2, 7), 400);
+        store.insert(GameId::Fps, meta(1, 1, 1, 7), (), 400);
+        store.insert(GameId::Fps, meta(2, 2, 2, 7), (), 400);
         assert_eq!(store.len(), 2);
         // Shrink the live budget below occupancy: nothing evicts yet…
         store.set_capacity_bytes(500);
         assert_eq!(store.len(), 2);
         // …but the next insert's budget sweep trims to the new cap.
-        store.insert(GameId::Fps, meta(3, 3, 3, 7), 400);
+        store.insert(GameId::Fps, meta(3, 3, 3, 7), (), 400);
         assert!(store.bytes() <= 500, "bytes {} over cap", store.bytes());
     }
 
     #[test]
     fn recent_inserts_buffer_only_when_advertising() {
         let store = LocalStore::new(StoreConfig::default());
-        store.insert(GameId::Fps, meta(1, 1, 1, 7), 100);
+        store.insert(GameId::Fps, meta(1, 1, 1, 7), (), 100);
         assert!(store.drain_recent().is_empty(), "off by default");
         store.set_advertise(true);
-        store.insert(GameId::Fps, meta(2, 2, 2, 7), 150);
-        store.insert_speculative(GameId::Fps, meta(3, 3, 3, 7), 200, 1.0);
+        store.insert(GameId::Fps, meta(2, 2, 2, 7), (), 150);
+        store.insert_speculative(GameId::Fps, meta(3, 3, 3, 7), (), 200, 1.0);
         let recent = store.drain_recent();
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].bytes, 150);
@@ -1090,7 +1147,7 @@ mod tests {
         // Smoke test: hammer the store from several threads. Results
         // are not asserted deterministic here (the fleet serializes for
         // that) — only that counters and budget stay coherent.
-        let store = std::sync::Arc::new(SharedFrameStore::new(StoreConfig {
+        let store = std::sync::Arc::new(LocalStore::new(StoreConfig {
             capacity_bytes: 10_000,
             shards: 4,
             ..StoreConfig::default()
@@ -1101,7 +1158,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200i32 {
                         let m = meta(i, t, (i % 5) as u32, 7);
-                        store.insert(GameId::Fps, m, 100);
+                        store.insert(GameId::Fps, m, (), 100);
                         store.lookup(GameId::Fps, &query(&m, 0.5));
                     }
                 });

@@ -20,8 +20,8 @@
 //! - [`conn`] — per-connection read assembly, session state, and the
 //!   bounded egress queue (the backpressure policy lives here).
 //! - [`service`] — the protocol-independent serving core: per-game
-//!   worlds, the [`coterie_serve`] shared frame store and prerender
-//!   farm, the real codec, and the drop-driven quality controller.
+//!   worlds, the [`coterie_serve`] frame store that owns the encoded
+//!   frames, the real codec, and the drop-driven quality controller.
 //! - [`server`] — the event loop tying it all together.
 //! - [`shard`] — the inter-worker exchange plane: a coordinator thread
 //!   per worker process shipping freshly rendered frames to peers so a

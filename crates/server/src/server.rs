@@ -10,8 +10,8 @@
 //! and without an accept lock. The accepting worker owns the connection
 //! for its whole life: no cross-worker handoff, no shared connection
 //! table, no locks on the read/write path. All cross-connection state
-//! (the frame store, rooms, the farm) lives in [`ServiceCore`] behind
-//! its own fine-grained locks.
+//! (the frame store, rooms, quality controllers) lives in
+//! [`ServiceCore`] behind its own fine-grained locks.
 //!
 //! Readiness is level-triggered. `EPOLLOUT` is armed only while a
 //! connection's egress queue is non-empty, so an idle socket costs no
@@ -382,7 +382,6 @@ fn worker_loop(shared: &Shared, worker: u32) {
             }
         }
 
-        shared.service.maintain(worker);
         if worker == 0 {
             gc_parked(shared);
         }
@@ -770,19 +769,12 @@ fn handle_message(shared: &Shared, conn: &mut Connection, msg: WireMessage, work
                 .fetch_add(1, Ordering::Relaxed);
             apply_shard_frame(shared, entry, width, height, quality, scale_pm, payload);
         }
-        (ConnState::ShardPeer { .. }, WireMessage::ShardAdvert { entries, .. }) => {
-            // Metadata-only adverts: admit the identities so nearby
-            // local poses at least skip the store miss bookkeeping.
-            for e in entries {
-                let _ = shared
-                    .service
-                    .store()
-                    .insert(e.game, shard_entry_meta(&e), e.bytes);
-            }
-        }
-        (ConnState::ShardPeer { .. }, WireMessage::ShardUsage { .. }) => {
-            // Socket-plane workers each own their budget; usage digests
-            // only matter to the in-process fabric.
+        (ConnState::ShardPeer { .. }, WireMessage::ShardAdvert { .. })
+        | (ConnState::ShardPeer { .. }, WireMessage::ShardUsage { .. }) => {
+            // Adverts carry no payload, so a store that serves its
+            // frames cannot admit them; socket-plane workers each own
+            // their budget, so usage digests only matter to the
+            // in-process fabric.
         }
         (ConnState::ShardPeer { .. }, WireMessage::Bye) => {
             begin_goodbye(shared, conn, ByeReason::Normal);

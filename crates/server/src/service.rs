@@ -1,31 +1,33 @@
 //! The serving core: everything between a decoded `Pose` and an
 //! encoded `Frame`, shared by all worker threads.
 //!
-//! [`ServiceCore`] hosts the `coterie-serve` fleet machinery behind the
-//! wire protocol: the cross-room frame store (any [`FrameStore`]
-//! backend — a private [`LocalStore`] by default, or one shard of a
-//! fleet-wide store wired up by a shard coordinator) answers the
-//! paper's three-criteria similarity lookup (session-id-free, so any
-//! room's frames serve any room of the same game), the
-//! [`PrerenderFarm`] turns misses into speculative neighbour renders,
-//! and a per-room quality controller converts egress-queue drops into
-//! degrade notices — the paper's "ship smaller frames until the link
-//! recovers" loop, driven by *measured* socket backpressure instead of
-//! a simulated budget.
+//! [`ServiceCore`] hosts the `coterie-serve` cross-room frame store
+//! behind the wire protocol: a [`LocalStore`] that owns the encoded
+//! frames answers the paper's three-criteria similarity lookup
+//! (session-id-free, so any room's frames serve any room of the same
+//! game), and a per-room quality controller converts egress-queue drops
+//! into degrade notices — the paper's "ship smaller frames until the
+//! link recovers" loop, driven by *measured* socket backpressure instead
+//! of a simulated budget.
 //!
-//! The store tracks identity and byte accounting only; the codec-encoded
-//! payloads live in a bounded FIFO payload cache alongside it. Frames
-//! are produced by a deterministic procedural renderer (a cheap smooth
-//! luma field seeded by the grid point) and encoded with the real
-//! `coterie-codec` transform — real serialization cost on the server,
-//! real decode cost on the client, without dragging the full panorama
-//! renderer into the per-request path.
+//! A store hit hands back the cached encoded frame; a miss renders,
+//! encodes and inserts it. So `store_hits` counts exactly the replies
+//! that rendered nothing. The room's quality scale is folded into the
+//! near-set hash the store sees, so a hit never returns a frame at
+//! another scale. There is no speculation on this plane: the
+//! simulator's pre-render farm models frames without pixels, and a
+//! store that serves its payloads has no use for those.
+//!
+//! Frames are produced by a deterministic procedural renderer (a cheap
+//! smooth luma field seeded by the grid point) and encoded with the
+//! real `coterie-codec` transform — real serialization cost on the
+//! server, real decode cost on the client, without dragging the full
+//! panorama renderer into the per-request path.
 
 use coterie_codec::{EncodedFrame, Encoder, Quality};
 use coterie_core::cache::{CacheQuery, FrameMeta};
 use coterie_frame::LumaFrame;
-use coterie_serve::farm::PrerenderFarm;
-use coterie_serve::{FrameStore, LocalStore, StoreConfig};
+use coterie_serve::{LocalStore, StoreConfig};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, SERVE_PID, VSYNC_BUDGET_MS};
 use coterie_world::{GameId, GameSpec, GridPoint, LeafId, Scene, Vec2};
 use parking_lot::Mutex;
@@ -51,11 +53,6 @@ pub const AFFINITY_ROOM_CAP: u32 = 4;
 /// Base far-BE frame width at full scale, px. Height is half (the
 /// far-field band of an equirect panorama).
 pub const BASE_WIDTH: u32 = 128;
-
-/// Payload-cache entry cap. The frame store owns the byte budget and
-/// LRU; this FIFO cap only bounds the payload map when store churn
-/// outpaces it.
-const PAYLOAD_CACHE_ENTRIES: usize = 4096;
 
 /// Bound on the inter-shard share outbox. A worker with no coordinator
 /// attached never queues; with one attached, a stalled peer link sheds
@@ -93,7 +90,7 @@ struct RoomState {
 pub struct FrameReply {
     /// The encoded far-BE frame.
     pub encoded: Arc<EncodedFrame>,
-    /// Whether the shared store already had a similar frame.
+    /// Whether the frame came from the store, with no render.
     pub store_hit: bool,
     /// The room's current quality scale, per-mille.
     pub scale_pm: u16,
@@ -104,7 +101,7 @@ pub struct FrameReply {
 pub struct ServiceStats {
     /// Poses served with a frame reply.
     pub frames_served: u64,
-    /// Replies answered from the shared store.
+    /// Replies answered from the store, with no render.
     pub store_hits: u64,
     /// Replies that rendered + encoded on demand.
     pub store_misses: u64,
@@ -118,14 +115,15 @@ pub struct ServiceStats {
 
 /// One freshly rendered frame queued for the shard coordinator to ship
 /// to peer workers: everything a peer needs to admit the frame into its
-/// own store and payload cache without re-rendering.
+/// own store without re-rendering.
 #[derive(Clone)]
 pub struct ShardShare {
     /// Game the frame belongs to.
     pub game: GameId,
-    /// Frame identity (grid point, position, leaf, near set).
+    /// Frame identity (grid point, position, leaf, near set), without
+    /// the scale folded in.
     pub meta: FrameMeta,
-    /// The encoded payload, shared with the local payload cache.
+    /// The encoded payload, shared with the local store.
     pub encoded: Arc<EncodedFrame>,
     /// Scale the frame was rendered at, per-mille.
     pub scale_pm: u16,
@@ -134,9 +132,7 @@ pub struct ShardShare {
 /// Shared serving state; one per server, `Arc`-shared across workers.
 pub struct ServiceCore {
     worlds: Mutex<HashMap<GameId, Arc<World>>>,
-    store: Arc<dyn FrameStore>,
-    payloads: Mutex<PayloadCache>,
-    farm: Mutex<PrerenderFarm>,
+    store: LocalStore<Arc<EncodedFrame>>,
     rooms: Mutex<HashMap<(GameId, u32), RoomState>>,
     stats: Mutex<ServiceStats>,
     shard_outbox: Mutex<ShardOutbox>,
@@ -152,43 +148,16 @@ struct ShardOutbox {
     queue: VecDeque<ShardShare>,
 }
 
-struct PayloadCache {
-    map: HashMap<(GameId, u64, u16), Arc<EncodedFrame>>,
-    order: VecDeque<(GameId, u64, u16)>,
-}
-
 impl ServiceCore {
     /// A core with the given store budget and telemetry sink (pass a
-    /// disabled sink for untraced runs). The store is a private
-    /// [`LocalStore`] — today's single-process behaviour, byte for
-    /// byte.
+    /// disabled sink for untraced runs).
     pub fn new(store_bytes: u64, world_seed: u64, telemetry: TelemetrySink) -> ServiceCore {
-        ServiceCore::with_store(
-            Arc::new(LocalStore::new(StoreConfig {
-                capacity_bytes: store_bytes,
-                ..StoreConfig::default()
-            })),
-            world_seed,
-            telemetry,
-        )
-    }
-
-    /// A core serving from the given [`FrameStore`] backend — the
-    /// construction-time seam that makes backends swappable (a private
-    /// [`LocalStore`], one shard of a fleet store, a test double).
-    pub fn with_store(
-        store: Arc<dyn FrameStore>,
-        world_seed: u64,
-        telemetry: TelemetrySink,
-    ) -> ServiceCore {
         ServiceCore {
             worlds: Mutex::new(HashMap::new()),
-            store,
-            payloads: Mutex::new(PayloadCache {
-                map: HashMap::new(),
-                order: VecDeque::new(),
+            store: LocalStore::new(StoreConfig {
+                capacity_bytes: store_bytes,
+                ..StoreConfig::default()
             }),
-            farm: Mutex::new(PrerenderFarm::new()),
             rooms: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServiceStats::default()),
             shard_outbox: Mutex::new(ShardOutbox {
@@ -202,8 +171,8 @@ impl ServiceCore {
     }
 
     /// The frame store (occupancy gauges, hit-ratio reporting).
-    pub fn store(&self) -> &dyn FrameStore {
-        self.store.as_ref()
+    pub fn store(&self) -> &LocalStore<Arc<EncodedFrame>> {
+        &self.store
     }
 
     /// Starts queueing freshly rendered frames for a shard coordinator
@@ -218,9 +187,9 @@ impl ServiceCore {
         self.shard_outbox.lock().queue.drain(..).collect()
     }
 
-    /// Admits a peer worker's rendered frame: identity into the store,
-    /// payload into the cache, so the next local pose near it is a hit
-    /// without a render. Returns whether the store admitted it.
+    /// Admits a peer worker's rendered frame into the store, so the
+    /// next local pose near it is a hit without a render. Returns
+    /// whether the store admitted it.
     pub fn apply_shard_frame(
         &self,
         game: GameId,
@@ -228,21 +197,26 @@ impl ServiceCore {
         encoded: Arc<EncodedFrame>,
         scale_pm: u16,
     ) -> bool {
-        let admitted = self.store.insert(game, meta, encoded.size_bytes() as u64);
+        let admitted = self.admit(game, meta, scale_pm, encoded);
         if admitted {
-            let key = (game, meta.grid.key(), scale_pm);
-            let mut p = self.payloads.lock();
-            if p.map.insert(key, encoded).is_none() {
-                p.order.push_back(key);
-                while p.order.len() > PAYLOAD_CACHE_ENTRIES {
-                    if let Some(old) = p.order.pop_front() {
-                        p.map.remove(&old);
-                    }
-                }
-            }
             self.stats.lock().shard_frames_applied += 1;
         }
         admitted
+    }
+
+    /// Inserts a frame rendered at `scale_pm` into the store under its
+    /// scaled identity; the one insert path for local renders and peer
+    /// frames alike.
+    fn admit(
+        &self,
+        game: GameId,
+        meta: FrameMeta,
+        scale_pm: u16,
+        encoded: Arc<EncodedFrame>,
+    ) -> bool {
+        let bytes = encoded.size_bytes() as u64;
+        self.store
+            .insert(game, scaled(meta, scale_pm), encoded, bytes)
     }
 
     /// Aggregate counters so far.
@@ -386,14 +360,18 @@ impl ServiceCore {
     }
 
     /// Serves one pose: a store lookup, then (on miss) a procedural
-    /// render + real encode, neighbour speculation queued to the farm.
+    /// render + real encode whose result is inserted into the store.
     /// `worker` is the trace track the spans land on.
     pub fn frame_for(&self, game: GameId, room: u32, pos: Vec2, worker: u32) -> FrameReply {
         let world = self.world(game);
         let grid = world.scene.grid().snap(pos);
         let gpos = world.scene.grid().position(grid);
-        let near_hash = world.scene.near_set_hash(gpos, world.near_radius);
-        let leaf = leaf_of(grid);
+        let meta = FrameMeta {
+            grid,
+            pos: gpos,
+            leaf: leaf_of(grid),
+            near_hash: world.scene.near_set_hash(gpos, world.near_radius),
+        };
         let scale_pm = {
             let rooms = self.rooms.lock();
             rooms.get(&(game, room)).map(|r| r.scale_pm).unwrap_or(1000)
@@ -403,16 +381,17 @@ impl ServiceCore {
             pid: SERVE_PID,
             tid: worker,
         };
+        let key = scaled(meta, scale_pm);
         let query = CacheQuery {
             grid,
             pos: gpos,
-            leaf,
-            near_hash,
+            leaf: key.leaf,
+            near_hash: key.near_hash,
             dist_thresh: world.dist_thresh,
         };
 
         let t0 = self.telemetry.now_ms();
-        let store_hit = self.store.lookup(game, &query);
+        let cached = self.store.lookup(game, &query);
         self.telemetry.span(
             track,
             Stage::CacheLookup,
@@ -422,18 +401,12 @@ impl ServiceCore {
             0,
         );
 
-        let key = (game, grid.key(), scale_pm);
-        let cached = if store_hit {
-            self.payloads.lock().map.get(&key).cloned()
-        } else {
-            None
-        };
-
+        let store_hit = cached.is_some();
         let encoded = match cached {
             Some(e) => e,
             None => {
                 let t1 = self.telemetry.now_ms();
-                let luma = procedural_far_frame(grid, near_hash, scale_pm);
+                let luma = procedural_far_frame(grid, meta.near_hash, scale_pm);
                 self.telemetry.span(
                     track,
                     Stage::Render,
@@ -452,42 +425,19 @@ impl ServiceCore {
                     self.telemetry.now_ms() - t2,
                     0,
                 );
-                let meta = FrameMeta {
-                    grid,
-                    pos: gpos,
-                    leaf,
-                    near_hash,
-                };
-                let bytes = encoded.size_bytes() as u64;
-                self.store.insert(game, meta, bytes);
-                {
-                    let mut p = self.payloads.lock();
-                    if p.map.insert(key, encoded.clone()).is_none() {
-                        p.order.push_back(key);
-                        while p.order.len() > PAYLOAD_CACHE_ENTRIES {
-                            if let Some(old) = p.order.pop_front() {
-                                p.map.remove(&old);
-                            }
-                        }
+                self.admit(game, meta, scale_pm, encoded.clone());
+                let mut outbox = self.shard_outbox.lock();
+                if outbox.enabled {
+                    if outbox.queue.len() >= SHARD_OUTBOX_ENTRIES {
+                        outbox.queue.pop_front();
                     }
-                }
-                self.farm
-                    .lock()
-                    .enqueue_neighbors(0, game, meta, bytes, world.dist_thresh);
-                {
-                    let mut outbox = self.shard_outbox.lock();
-                    if outbox.enabled {
-                        if outbox.queue.len() >= SHARD_OUTBOX_ENTRIES {
-                            outbox.queue.pop_front();
-                        }
-                        outbox.queue.push_back(ShardShare {
-                            game,
-                            meta,
-                            encoded: encoded.clone(),
-                            scale_pm,
-                        });
-                        self.stats.lock().shard_frames_shared += 1;
-                    }
+                    outbox.queue.push_back(ShardShare {
+                        game,
+                        meta,
+                        encoded: encoded.clone(),
+                        scale_pm,
+                    });
+                    self.stats.lock().shard_frames_shared += 1;
                 }
                 encoded
             }
@@ -509,32 +459,26 @@ impl ServiceCore {
         }
     }
 
-    /// Periodic maintenance: sweeps the pre-render farm into the store.
-    /// Workers call this between poll iterations; it is cheap when the
-    /// farm is empty.
-    pub fn maintain(&self, worker: u32) {
-        let mut farm = self.farm.lock();
-        if farm.pending() == 0 {
-            return;
-        }
-        let t0 = self.telemetry.now_ms();
-        farm.drain_into(&[self.store.as_ref()]);
-        self.telemetry.span(
-            TrackId {
-                pid: SERVE_PID,
-                tid: worker,
-            },
-            Stage::Farm,
-            "farm-drain",
-            t0,
-            self.telemetry.now_ms() - t0,
-            0,
-        );
-    }
+    /// A no-op, kept so harnesses that drive the core pose by pose
+    /// (the `perfbench` replay calls it between poses) keep building.
+    /// The socket plane has nothing to sweep between polls: it renders
+    /// no speculative frames, because a frame in its store must carry
+    /// the payload a hit serves.
+    pub fn maintain(&self, _worker: u32) {}
 
     /// The telemetry sink the core records into.
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.telemetry
+    }
+}
+
+/// A frame's store identity at `scale_pm`: the scale is folded into the
+/// near-set hash, and criterion 3 matches hashes exactly, so frames
+/// rendered at different scales never serve each other.
+fn scaled(meta: FrameMeta, scale_pm: u16) -> FrameMeta {
+    FrameMeta {
+        near_hash: meta.near_hash ^ u64::from(scale_pm).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ..meta
     }
 }
 
@@ -747,19 +691,116 @@ mod tests {
         assert_eq!(c.stats().shard_frames_shared, 0);
     }
 
+    /// A core recording its spans, so tests can see which replies
+    /// rendered.
+    fn traced_core() -> ServiceCore {
+        ServiceCore::new(
+            64 << 20,
+            42,
+            TelemetrySink::recording(coterie_telemetry::TelemetryConfig::default()),
+        )
+    }
+
+    fn renders(c: &ServiceCore) -> usize {
+        c.telemetry()
+            .spans_snapshot()
+            .iter()
+            .filter(|s| s.name == "far-render")
+            .count()
+    }
+
+    /// A cold route that steps to the adjacent grid point on every pose:
+    /// 60 points out along one axis, then the same points back, so the
+    /// way out can only miss and the way back can only hit.
+    fn adjacent_route(c: &ServiceCore, game: GameId) -> Vec<Vec2> {
+        let world = c.world(game);
+        let grid = world.scene.grid();
+        let start = grid.snap(world.scene.bounds().center());
+        let out: Vec<Vec2> = (0..60)
+            .map(|i| grid.position(GridPoint::new(start.ix + i, start.iz)))
+            .collect();
+        out.iter().chain(out.iter().rev()).copied().collect()
+    }
+
+    /// Serves `poses` one by one, running `maintain` between poses, and
+    /// pairs each reply with the number of renders it caused.
+    fn serve_route(c: &ServiceCore, game: GameId, poses: &[Vec2]) -> Vec<(FrameReply, usize)> {
+        c.join(game, 0);
+        poses
+            .iter()
+            .map(|&pos| {
+                let before = renders(c);
+                let reply = c.frame_for(game, 0, pos, 0);
+                let rendered = renders(c) - before;
+                c.maintain(0);
+                (reply, rendered)
+            })
+            .collect()
+    }
+
     #[test]
-    fn custom_store_backend_is_swappable() {
-        let store = Arc::new(LocalStore::new(StoreConfig {
-            capacity_bytes: 1 << 20,
-            ..StoreConfig::default()
-        }));
-        let c = ServiceCore::with_store(store.clone(), 42, TelemetrySink::disabled());
-        c.join(GameId::Fps, 0);
-        c.frame_for(GameId::Fps, 0, Vec2::new(2.0, 3.0), 0);
-        assert!(
-            !store.is_empty(),
-            "core writes through the injected backend"
+    fn store_hits_are_exactly_the_frames_not_rendered() {
+        let c = traced_core();
+        let route = adjacent_route(&c, GameId::Fps);
+        serve_route(&c, GameId::Fps, &route);
+        let stats = c.stats();
+        assert_eq!(stats.frames_served, route.len() as u64);
+        assert_eq!(stats.store_hits + stats.store_misses, stats.frames_served);
+        assert_eq!(
+            stats.store_hits,
+            stats.frames_served - renders(&c) as u64,
+            "{stats:?}: every hit must be a frame that was not rendered"
         );
+        assert!(stats.store_hits > 0, "the way back revisits cached points");
+    }
+
+    #[test]
+    fn render_spans_equal_store_misses() {
+        let c = traced_core();
+        let route = adjacent_route(&c, GameId::VikingVillage);
+        serve_route(&c, GameId::VikingVillage, &route);
+        assert_eq!(renders(&c) as u64, c.stats().store_misses);
+    }
+
+    #[test]
+    fn adjacent_grid_poses_never_hit_a_frame_that_renders() {
+        let c = traced_core();
+        let route = adjacent_route(&c, GameId::Fps);
+        let replies = serve_route(&c, GameId::Fps, &route);
+        let phantom = replies
+            .iter()
+            .filter(|(reply, rendered)| reply.store_hit && *rendered > 0)
+            .count();
+        assert_eq!(phantom, 0, "flagged hits that still rendered");
+        // The way out steps onto a fresh grid point every pose.
+        assert!(replies[..route.len() / 2].iter().all(|(r, _)| !r.store_hit));
+    }
+
+    #[test]
+    fn a_degraded_room_never_gets_a_frame_cached_at_full_scale() {
+        let c = traced_core();
+        c.join(GameId::Fps, 0);
+        let pos = Vec2::new(10.0, 12.0);
+        let full = c.frame_for(GameId::Fps, 0, pos, 0);
+        assert_eq!((full.scale_pm, full.encoded.width), (1000, BASE_WIDTH));
+        for _ in 0..DEGRADE_AFTER_DROPS {
+            c.note_delivery(GameId::Fps, 0, true);
+        }
+        let expect_width = |scale_pm: u16| (BASE_WIDTH * scale_pm as u32 / 1000).max(16);
+        let before = renders(&c);
+        let degraded = c.frame_for(GameId::Fps, 0, pos, 0);
+        assert_eq!(degraded.scale_pm, 750);
+        assert_eq!(degraded.encoded.width, expect_width(750));
+        assert!(
+            !degraded.store_hit,
+            "the 1000‰ frame must not count as a hit"
+        );
+        assert_eq!(renders(&c), before + 1);
+        // The 750‰ frame is now cached beside the 1000‰ one.
+        let again = c.frame_for(GameId::Fps, 0, pos, 0);
+        assert!(again.store_hit);
+        assert_eq!(again.encoded.payload, degraded.encoded.payload);
+        assert_eq!(renders(&c), before + 1);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! it drains the service core's share outbox — every frame this worker
 //! rendered on a store miss — and ships each one to every peer as a
 //! [`WireMessage::ShardFrame`]: identity plus encoded payload, so the
-//! peer admits it into its own store and payload cache and the next
-//! pose near that position anywhere in the fleet is a hit without a
-//! render.
+//! peer admits the frame itself into its own store and the next pose
+//! near that position anywhere in the fleet is a hit without a render.
 //!
 //! Peer links are soft state: a send failure drops the link and the
 //! next flush tick reconnects. Shares that found no live peer are

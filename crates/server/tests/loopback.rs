@@ -45,41 +45,49 @@ fn base_load(path: &Path, clients: usize, frames: u64) -> LoadConfig {
 
 /// The headline acceptance run: N clients × M frames over UDS, every
 /// session completes the full protocol, zero errors on both sides,
-/// clean shutdown with no connections left behind.
+/// clean shutdown with no connections left behind. A second cohort
+/// then replays the same walks on the same server, so its poses find
+/// the first cohort's frames in the store.
 #[test]
 fn n_clients_m_frames_over_uds_zero_errors() {
     let (server, path) = start_uds("accept", ServerConfig::default());
     let clients = 4;
     let frames = 50;
-    let report = loadgen::run(&base_load(&path, clients, frames));
+    let load = base_load(&path, clients, frames);
+    let cohorts = [loadgen::run(&load), loadgen::run(&load)];
     let stats = server.stop();
     let _ = std::fs::remove_file(&path);
 
-    assert_eq!(report.sessions, clients, "{}", report.summary_line());
-    assert_eq!(
-        report.sessions_completed,
-        clients,
-        "{}",
-        report.summary_line()
-    );
-    assert_eq!(report.protocol_errors, 0);
-    assert_eq!(report.decode_failures, 0);
-    // Every pose that left a client came back as exactly one frame
-    // (FI background loss may skip a few sends; those never reach the
-    // server, so both sides agree).
-    assert_eq!(report.frames_received, report.poses_sent);
-    assert_eq!(
-        report.poses_sent + report.poses_lost,
-        clients as u64 * frames
-    );
-    assert_eq!(stats.poses, report.poses_sent);
-    assert_eq!(stats.frames_sent, report.frames_received);
+    for report in &cohorts {
+        assert_eq!(report.sessions, clients, "{}", report.summary_line());
+        assert_eq!(
+            report.sessions_completed,
+            clients,
+            "{}",
+            report.summary_line()
+        );
+        assert_eq!(report.protocol_errors, 0);
+        assert_eq!(report.decode_failures, 0);
+        // Every pose that left a client came back as exactly one frame
+        // (FI background loss may skip a few sends; those never reach
+        // the server, so both sides agree).
+        assert_eq!(report.frames_received, report.poses_sent);
+        assert_eq!(
+            report.poses_sent + report.poses_lost,
+            clients as u64 * frames
+        );
+    }
+    let poses: u64 = cohorts.iter().map(|r| r.poses_sent).sum();
+    assert_eq!(stats.poses, poses);
+    assert_eq!(stats.frames_sent, poses);
     assert_eq!(stats.protocol_errors, 0);
-    assert_eq!(stats.accepted, clients as u64);
-    assert_eq!(stats.closed, clients as u64);
+    assert_eq!(stats.accepted, 2 * clients as u64);
+    assert_eq!(stats.closed, 2 * clients as u64);
     assert_eq!(stats.live, 0);
-    // Co-located players in a room share poses → the store serves hits.
-    assert!(stats.store_hit_ratio > 0.0, "stats {stats:?}");
+    // A walk steps past a 1/32 m grid point every frame, so the first
+    // cohort renders its frames; the replay is served from the store,
+    // and a store hit is a frame that was not rendered.
+    assert!(stats.store_hit_ratio >= 0.5, "stats {stats:?}");
 }
 
 /// Same protocol over real TCP loopback.

@@ -338,6 +338,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -447,13 +448,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both delimiters are ASCII, so the run ends on a
+                    // scalar boundary of the &str input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -516,6 +519,7 @@ impl<'a> Parser<'a> {
 /// Parses a JSON document.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -771,6 +775,43 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-25.0));
         assert_eq!(arr[2].as_bool(), Some(true));
         assert_eq!(arr[4].as_str(), Some("x\n\"yA"));
+    }
+
+    #[test]
+    fn multibyte_names_and_unicode_escapes_round_trip() {
+        // Names straddling multi-byte scalars, next to escapes.
+        const NAMES: [&str; 3] = ["渲染-ü\"q\"", "é\u{1}\t→", "🎮 frame"];
+        let spans: Vec<SpanEvent> = NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| SpanEvent {
+                track: TrackId { pid: 1, tid: 0 },
+                stage: Stage::Render,
+                name,
+                start_ms: i as f64,
+                dur_ms: 0.5,
+                frame: 0,
+            })
+            .collect();
+        let json = chrome_trace_json(&spans, &[], 16.7);
+        assert!(json.contains("\\u0001"), "control chars are \\u-escaped");
+        let doc = parse_json(&json).unwrap();
+        let names: Vec<&str> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|ev| ev.get("ph").and_then(JsonValue::as_str) == Some("X"))
+            .filter_map(|ev| ev.get("name").and_then(JsonValue::as_str))
+            .collect();
+        assert_eq!(names, NAMES);
+        assert!(validate_chrome_trace(&json).is_ok());
+        // \u escapes decode to multi-byte scalars amid raw ones.
+        let v = parse_json(r#"["\u00e9渲\u6e32-ü", "\u12"]"#);
+        assert!(v.is_err(), "truncated escape");
+        let v = parse_json(r#"["\u00e9渲\u6e32-ü"]"#).unwrap();
+        assert_eq!(v.as_array().unwrap()[0].as_str(), Some("é渲渲-ü"));
     }
 
     #[test]
