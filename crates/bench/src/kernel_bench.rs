@@ -3,17 +3,19 @@
 //!
 //! Criterion gives interactive numbers; this module gives the *committed*
 //! perf trajectory: `experiments bench-json` writes `BENCH_render.json`
-//! with the median nanoseconds per kernel so every PR can be compared to
-//! the last. The binary cannot use criterion (a dev-dependency), so this
-//! is a deliberately simple warmup + median-of-samples harness.
+//! with the median, p10 and p90 nanoseconds per kernel and the sample
+//! count, so every PR can be compared to the last against the spread.
+//! The binary cannot use criterion (a dev-dependency), so this is a
+//! deliberately simple warmup + sorted-samples harness.
 //!
-//! Besides the default-dispatch `kernels` section (whose original keys
-//! stay byte-compatible across PRs), the report carries a `simd` section
-//! with the same kernels timed at every dispatch level the CPU supports —
-//! the scalar entries are the pre-SIMD baselines (the kernels are
-//! bit-identical across levels, so scalar timing is the old code path's
-//! timing), making the AVX2-vs-scalar speedup auditable from the
-//! committed file alone.
+//! Besides the default-dispatch `kernels` section, the report carries a
+//! `simd` section with the codec and SSIM kernels timed at every
+//! dispatch level the CPU supports (`scalar`, `avx2`). The scalar
+//! entries are the pre-SIMD baselines (the kernels are bit-identical
+//! across levels, so scalar timing is the old code path's timing),
+//! making the AVX2-vs-scalar speedup of every kept AVX2 body auditable
+//! from the committed file alone. The renderer does not dispatch, so its
+//! rows appear only in `kernels`.
 
 use coterie_codec::{Encoder, Quality};
 use coterie_frame::{ssim_with_simd, LumaFrame, SsimOptions};
@@ -22,13 +24,17 @@ use coterie_render::{RenderFilter, RenderOptions, Renderer};
 use coterie_world::{GameId, GameSpec, Vec2};
 use std::time::Instant;
 
-/// One timed kernel: median wall-clock nanoseconds per call.
+/// One timed kernel: wall-clock nanoseconds per call over the samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTiming {
     /// Kernel name as it appears in the JSON report.
     pub name: String,
     /// Median nanoseconds per call over all samples.
     pub median_ns: u64,
+    /// 10th-percentile nanoseconds per call (nearest rank).
+    pub p10_ns: u64,
+    /// 90th-percentile nanoseconds per call (nearest rank).
+    pub p90_ns: u64,
     /// Number of timed samples (after warmup).
     pub samples: usize,
 }
@@ -36,19 +42,20 @@ pub struct KernelTiming {
 /// Per-dispatch-level timings: `level` is the [`SimdLevel`] name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimdTimings {
-    /// Dispatch level name (`scalar`, `sse2`, `avx2`).
+    /// Dispatch level name (`scalar`, `avx2`).
     pub level: String,
     /// Kernel timings at that level.
     pub timings: Vec<KernelTiming>,
 }
 
 /// Blocks per sample for the 8×8 block kernels (`dct_8x8`,
-/// `quantize_8x8`): a single block transform is below timer resolution,
-/// so each sample times this many back-to-back blocks.
+/// `quantize_8x8`, `dequantize_8x8`, `zigzag_gather`, `any_abs_above`):
+/// a single block operation is below timer resolution, so each sample
+/// times this many back-to-back blocks.
 const BLOCK_BATCH: usize = 4096;
 
-/// Times `f`, returning the median ns per call over `samples` runs.
-fn time_kernel<R>(samples: usize, mut f: impl FnMut() -> R) -> (u64, usize) {
+/// Times `f` over `samples` runs after one warmup call.
+fn time_kernel<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> KernelTiming {
     // Warmup: populate caches (scene index, trig tables) off the clock.
     std::hint::black_box(f());
     let mut runs: Vec<u64> = (0..samples)
@@ -59,7 +66,14 @@ fn time_kernel<R>(samples: usize, mut f: impl FnMut() -> R) -> (u64, usize) {
         })
         .collect();
     runs.sort_unstable();
-    (runs[runs.len() / 2], samples)
+    let rank = |pct: usize| runs[((runs.len() - 1) * pct + 50) / 100];
+    KernelTiming {
+        name: name.to_string(),
+        median_ns: runs[runs.len() / 2],
+        p10_ns: rank(10),
+        p90_ns: rank(90),
+        samples,
+    }
 }
 
 /// The fixed bench workload: a VikingVillage viewpoint pair at the
@@ -93,10 +107,26 @@ fn workload() -> Workload {
     }
 }
 
-/// Times one dispatch level's kernels against the shared workload.
-fn run_level(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTiming> {
+/// Times the renderer, which has one (scalar) implementation.
+fn render_kernels(samples: usize, wl: &Workload) -> Vec<KernelTiming> {
     let cutoff = 10.0;
-    let renderer = Renderer::new(RenderOptions::default()).with_simd_level(level);
+    let renderer = Renderer::new(RenderOptions::default());
+    vec![
+        time_kernel("render_all_256x128", samples, || {
+            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::All)
+        }),
+        time_kernel("render_near_256x128", samples, || {
+            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::NearOnly { cutoff })
+        }),
+        time_kernel("render_far_256x128", samples, || {
+            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::FarOnly { cutoff })
+        }),
+    ]
+}
+
+/// Times one dispatch level's codec and SSIM kernels against the shared
+/// workload.
+fn dispatched_kernels(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTiming> {
     let encoder = Encoder::with_simd_level(Quality::default(), level);
     let encoded = encoder.encode(&wl.frame_a);
     let dct = simd::Dct8x8::new();
@@ -109,88 +139,87 @@ fn run_level(samples: usize, wl: &Workload, level: SimdLevel) -> Vec<KernelTimin
     let mut coeffs = [0.0f32; 64];
     dct.forward(&block, &mut coeffs, level);
     let qtable: [f32; 64] = std::array::from_fn(|i| 1.0 + (i as f32) * 0.25);
+    let mut quantized = [0i32; 64];
+    simd::quantize_8x8(&coeffs, &qtable, &mut quantized, level);
+    // A full-block permutation stands in for the codec's zig-zag table.
+    let order: [i32; 64] = std::array::from_fn(|i| (i * 29 % 64) as i32);
+    // A residual block under the delta codec's skip threshold: the
+    // common static-pixel case, where the test scans every lane.
+    let residual: [f32; 64] = std::array::from_fn(|i| block[i] * 1e-7);
     let opts = SsimOptions::default();
 
-    let mut out = Vec::new();
-    let mut push = |name: &str, (median_ns, samples): (u64, usize)| {
-        out.push(KernelTiming {
-            name: name.to_string(),
-            median_ns,
-            samples,
-        });
-    };
-
-    push(
-        "render_all_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::All)
-        }),
-    );
-    push(
-        "render_near_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::NearOnly { cutoff })
-        }),
-    );
-    push(
-        "render_far_256x128",
-        time_kernel(samples, || {
-            renderer.render_panorama(&wl.scene, wl.eye, RenderFilter::FarOnly { cutoff })
-        }),
-    );
-    push(
-        "ssim_default_256x128",
-        time_kernel(samples, || {
+    vec![
+        time_kernel("ssim_default_256x128", samples, || {
             ssim_with_simd(&wl.frame_a, &wl.frame_b, &opts, level)
         }),
-    );
-    push(
-        "codec_encode_256x128",
-        time_kernel(samples, || encoder.encode(&wl.frame_a)),
-    );
-    push(
-        "codec_decode_256x128",
-        time_kernel(samples, || encoder.decode(&encoded).unwrap()),
-    );
-    push(
-        "dct_8x8",
-        time_kernel(samples, || {
+        time_kernel("codec_encode_256x128", samples, || {
+            encoder.encode(&wl.frame_a)
+        }),
+        time_kernel("codec_decode_256x128", samples, || {
+            encoder.decode(&encoded).unwrap()
+        }),
+        time_kernel("dct_8x8", samples, || {
             let mut c = [0.0f32; 64];
             for _ in 0..BLOCK_BATCH {
                 dct.forward(std::hint::black_box(&block), &mut c, level);
             }
             c
         }),
-    );
-    push(
-        "quantize_8x8",
-        time_kernel(samples, || {
+        time_kernel("quantize_8x8", samples, || {
             let mut q = [0i32; 64];
             for _ in 0..BLOCK_BATCH {
                 simd::quantize_8x8(std::hint::black_box(&coeffs), &qtable, &mut q, level);
             }
             q
         }),
-    );
-    out
+        time_kernel("dequantize_8x8", samples, || {
+            let mut d = [0.0f32; 64];
+            for _ in 0..BLOCK_BATCH {
+                simd::dequantize_8x8(std::hint::black_box(&quantized), &qtable, &mut d, level);
+            }
+            d
+        }),
+        time_kernel("zigzag_gather", samples, || {
+            let mut z = [0i32; 64];
+            for _ in 0..BLOCK_BATCH {
+                simd::zigzag_gather(std::hint::black_box(&quantized), &order, &mut z, level);
+            }
+            z
+        }),
+        time_kernel("any_abs_above", samples, || {
+            let mut hits = 0usize;
+            for _ in 0..BLOCK_BATCH {
+                hits += usize::from(simd::any_abs_above(
+                    std::hint::black_box(&residual),
+                    1e-6,
+                    level,
+                ));
+            }
+            hits
+        }),
+    ]
 }
 
 /// Benchmarks the hot kernels at the acceptance-criteria configuration
-/// (default 256×128 options, VikingVillage scene) under the process-wide
-/// detected dispatch level.
+/// (default 256×128 options, VikingVillage scene): the renderer, then
+/// the codec and SSIM kernels under the process-wide detected dispatch
+/// level.
 pub fn run(samples: usize) -> Vec<KernelTiming> {
-    run_level(samples, &workload(), simd::detected_level())
+    let wl = workload();
+    let mut timings = render_kernels(samples, &wl);
+    timings.extend(dispatched_kernels(samples, &wl, simd::detected_level()));
+    timings
 }
 
-/// Benchmarks the same kernels at every dispatch level the CPU supports,
-/// narrowest (scalar) first.
+/// Benchmarks the codec and SSIM kernels at every dispatch level the
+/// CPU supports, scalar first.
 pub fn run_levels(samples: usize) -> Vec<SimdTimings> {
     let wl = workload();
     simd::available_levels()
         .into_iter()
         .map(|level| SimdTimings {
             level: level.name().to_string(),
-            timings: run_level(samples, &wl, level),
+            timings: dispatched_kernels(samples, &wl, level),
         })
         .collect()
 }
@@ -199,15 +228,15 @@ fn json_entries(timings: &[KernelTiming], indent: &str, s: &mut String) {
     for (i, t) in timings.iter().enumerate() {
         let comma = if i + 1 < timings.len() { "," } else { "" };
         s.push_str(&format!(
-            "{indent}\"{}\": {{ \"median_ns\": {}, \"samples\": {} }}{comma}\n",
-            t.name, t.median_ns, t.samples
+            "{indent}\"{}\": {{ \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}, \"samples\": {} }}{comma}\n",
+            t.name, t.median_ns, t.p10_ns, t.p90_ns, t.samples
         ));
     }
 }
 
 /// Renders the timings as the committed `BENCH_render.json` document:
-/// the default-dispatch `kernels` section (original keys byte-compatible)
-/// plus a `simd` section keyed by dispatch level.
+/// the default-dispatch `kernels` section plus a `simd` section keyed by
+/// dispatch level.
 pub fn to_json(timings: &[KernelTiming], levels: &[SimdTimings]) -> String {
     let mut s = String::from("{\n  \"kernels\": {\n");
     json_entries(timings, "    ", &mut s);
@@ -229,24 +258,61 @@ mod tests {
     #[test]
     fn timings_are_positive_and_json_well_formed() {
         let wl = workload();
-        let timings = run_level(3, &wl, simd::detected_level());
-        assert_eq!(timings.len(), 8);
+        let mut timings = render_kernels(3, &wl);
+        timings.extend(dispatched_kernels(3, &wl, simd::detected_level()));
+        assert_eq!(timings.len(), 11);
         for t in &timings {
             assert!(t.median_ns > 0, "{} must take measurable time", t.name);
+            assert!(
+                t.p10_ns <= t.median_ns && t.median_ns <= t.p90_ns,
+                "{}: p10 {} <= median {} <= p90 {}",
+                t.name,
+                t.p10_ns,
+                t.median_ns,
+                t.p90_ns
+            );
+            assert_eq!(t.samples, 3);
         }
         let levels = vec![SimdTimings {
             level: "scalar".to_string(),
-            timings: run_level(3, &wl, SimdLevel::Scalar),
+            timings: dispatched_kernels(3, &wl, SimdLevel::Scalar),
         }];
         let json = to_json(&timings, &levels);
-        assert!(json.contains("\"render_all_256x128\""));
-        assert!(json.contains("\"ssim_default_256x128\""));
-        assert!(json.contains("\"codec_encode_256x128\""));
-        assert!(json.contains("\"codec_decode_256x128\""));
-        assert!(json.contains("\"dct_8x8\""));
-        assert!(json.contains("\"quantize_8x8\""));
-        assert!(json.contains("\"simd\""));
-        assert!(json.contains("\"scalar\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = coterie_telemetry::parse_json(&json).expect("valid JSON");
+        let kernels = doc.get("kernels").expect("kernels section");
+        let scalar = doc
+            .get("simd")
+            .and_then(|s| s.get("scalar"))
+            .expect("simd.scalar section");
+        for name in [
+            "render_all_256x128",
+            "ssim_default_256x128",
+            "codec_encode_256x128",
+            "codec_decode_256x128",
+            "dct_8x8",
+            "quantize_8x8",
+            "dequantize_8x8",
+            "zigzag_gather",
+            "any_abs_above",
+        ] {
+            assert!(kernels.get(name).is_some(), "kernels.{name} missing");
+        }
+        assert!(scalar.get("render_all_256x128").is_none());
+        assert!(scalar.get("any_abs_above").is_some());
+        // Every entry, in both sections, carries its spread and count.
+        for (section, entries) in [(kernels, &timings), (scalar, &levels[0].timings)] {
+            for t in entries.iter() {
+                let entry = section.get(&t.name).expect("entry present");
+                for (field, want) in [
+                    ("median_ns", t.median_ns),
+                    ("p10_ns", t.p10_ns),
+                    ("p90_ns", t.p90_ns),
+                    ("samples", t.samples as u64),
+                ] {
+                    let got = entry.get(field).and_then(|v| v.as_f64());
+                    assert_eq!(got, Some(want as f64), "{}.{field}", t.name);
+                }
+            }
+        }
     }
 }

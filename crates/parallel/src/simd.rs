@@ -1,32 +1,40 @@
-//! Runtime-dispatched SIMD kernels for the workspace's hot loops.
+//! Runtime-dispatched SIMD kernels for the server's hot loops: the
+//! transform codec and SSIM.
 //!
-//! Every kernel here has three implementations — portable scalar,
-//! 128-bit SSE2 and 256-bit AVX2 — selected at runtime by a
-//! [`SimdLevel`] argument. The scalar path is the *reference
-//! semantics*: each SIMD path replicates the scalar per-lane IEEE
-//! operation order exactly (same multiply/add association, no FMA
-//! contraction), so for every kernel in this module the three levels
-//! produce **bit-identical** results. That is what lets the renderer's
-//! golden FNV-1a hashes act as the bit-identity referee at every
-//! dispatch level, and what keeps `COTERIE_SIMD=scalar` output
-//! byte-identical to the historical scalar code.
+//! Every kernel here has two implementations — portable scalar and
+//! 256-bit AVX2 — selected at runtime by a [`SimdLevel`] argument. The
+//! scalar path is the *reference semantics*, and the only path that runs
+//! on the paper's ARM clients: the AVX2 path replicates the scalar
+//! per-lane IEEE operation order exactly (same multiply/add association,
+//! no FMA contraction), so for every kernel in this module both levels
+//! produce **bit-identical** results. That is what keeps
+//! `COTERIE_SIMD=scalar` output byte-identical to the historical scalar
+//! code, and what lets the codec parity proptests compare whole
+//! bitstreams across levels.
+//!
+//! Only kernels whose AVX2 body pays for itself on `BENCH_render.json`
+//! live here (scalar/avx2 medians: DCT 3.1×, quantize 15×, dequantize
+//! 1.7×, zig-zag 1.7×, `any_abs_above` 7.2×, SSIM 4.3×, and codec
+//! encode 3.2× / decode 1.6×, which carry the plane ops). The renderer
+//! has no kernels here: vectorized hit tests bought it ~3%.
 //!
 //! Dispatch policy:
 //!
 //! * [`cpu_level`] — what the CPU supports (`is_x86_feature_detected!`,
-//!   evaluated per call but cheap; SSE2 is the x86-64 baseline).
+//!   evaluated per call but cheap): `Avx2` when present, else `Scalar`.
 //! * [`detected_level`] — the process-wide default: the
-//!   `COTERIE_SIMD=scalar|sse2|avx2` env override (read once, cached in
-//!   a `OnceLock`) clamped to [`cpu_level`]. Unknown values fall back
-//!   to auto-detect.
+//!   `COTERIE_SIMD=scalar|avx2` env override (read once, cached in a
+//!   `OnceLock`) clamped to [`cpu_level`]. Any other value — including
+//!   the retired `sse2` — auto-detects, so a stale override changes
+//!   speed, never behaviour.
 //! * Every public kernel takes an explicit `level` and internally
 //!   clamps it to [`cpu_level`], so passing `Avx2` on a non-AVX2 box is
-//!   safe (it silently degrades) and tests can exercise all levels
+//!   safe (it runs the scalar path) and tests can exercise both levels
 //!   in-process via [`available_levels`] without touching global state.
 //!
 //! Safety: the `unsafe` intrinsic bodies live in the private `x86`
 //! module; each dispatch site's `unsafe` block carries the argument for
-//! why the call is sound (CPU support proven by the clamp, in-bounds
+//! why the call is sound (AVX2 support proven by the clamp, in-bounds
 //! offsets asserted before dispatch).
 
 #![allow(unsafe_code)]
@@ -38,8 +46,6 @@ use std::sync::OnceLock;
 pub enum SimdLevel {
     /// Portable scalar Rust — the reference semantics for every kernel.
     Scalar,
-    /// 128-bit SSE2 paths (baseline on x86-64).
-    Sse2,
     /// 256-bit AVX2 paths.
     Avx2,
 }
@@ -49,7 +55,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -60,15 +65,21 @@ pub fn cpu_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else {
-            // SSE2 is part of the x86-64 baseline ISA.
-            SimdLevel::Sse2
+            return SimdLevel::Avx2;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdLevel::Scalar
+    SimdLevel::Scalar
+}
+
+/// Parses a `COTERIE_SIMD` value (case-insensitive). Unknown values —
+/// including the retired `sse2` tier — return `None`, which means
+/// auto-detect: a stale or typo'd override must not change behaviour,
+/// only speed.
+fn parse_level(value: &str) -> Option<SimdLevel> {
+    match value.to_ascii_lowercase().as_str() {
+        "scalar" => Some(SimdLevel::Scalar),
+        "avx2" => Some(SimdLevel::Avx2),
+        _ => None,
     }
 }
 
@@ -78,16 +89,9 @@ pub fn detected_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         let cap = cpu_level();
-        let requested = std::env::var("COTERIE_SIMD").ok().and_then(|v| {
-            match v.to_ascii_lowercase().as_str() {
-                "scalar" => Some(SimdLevel::Scalar),
-                "sse2" => Some(SimdLevel::Sse2),
-                "avx2" => Some(SimdLevel::Avx2),
-                // Unknown values auto-detect rather than abort: a typo'd
-                // override must not change behaviour, only speed.
-                _ => None,
-            }
-        });
+        let requested = std::env::var("COTERIE_SIMD")
+            .ok()
+            .and_then(|v| parse_level(&v));
         requested.unwrap_or(cap).min(cap)
     })
 }
@@ -95,7 +99,7 @@ pub fn detected_level() -> SimdLevel {
 /// Every level the CPU can run, narrowest first (always starts with
 /// `Scalar`). Tests iterate this to assert cross-level parity.
 pub fn available_levels() -> Vec<SimdLevel> {
-    [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+    [SimdLevel::Scalar, SimdLevel::Avx2]
         .into_iter()
         .filter(|&l| l <= cpu_level())
         .collect()
@@ -160,13 +164,8 @@ impl Dct8x8 {
         match clamp_level(level) {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: clamp_level caps the request at cpu_level(), which
-            // only reports Sse2/Avx2 when the CPU has them; all buffers
+            // only reports Avx2 when the CPU has it; all buffers
             // are fixed-size arrays, so every offset is in bounds.
-            SimdLevel::Sse2 => unsafe {
-                x86::dct_forward_sse2(&self.basis, &self.basis_t, input, output)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above — AVX2 proven present by the clamp.
             SimdLevel::Avx2 => unsafe {
                 x86::dct_forward_avx2(&self.basis, &self.basis_t, input, output)
             },
@@ -179,9 +178,6 @@ impl Dct8x8 {
         match clamp_level(level) {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: level clamped to CPU capability; fixed-size arrays.
-            SimdLevel::Sse2 => unsafe { x86::dct_inverse_sse2(&self.basis, coeffs, output) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
             SimdLevel::Avx2 => unsafe { x86::dct_inverse_avx2(&self.basis, coeffs, output) },
             _ => self.inverse_scalar(coeffs, output),
         }
@@ -258,9 +254,6 @@ pub fn quantize_8x8(
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; fixed-size arrays.
-        SimdLevel::Sse2 => unsafe { x86::quantize_sse2(coeffs, qtable, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::quantize_avx2(coeffs, qtable, out) },
         _ => quantize_scalar(coeffs, qtable, out),
     }
@@ -280,9 +273,6 @@ pub fn dequantize_8x8(q: &[i32; 64], qtable: &[f32; 64], out: &mut [f32; 64], le
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; fixed-size arrays.
-        SimdLevel::Sse2 => unsafe { x86::dequantize_sse2(q, qtable, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::dequantize_avx2(q, qtable, out) },
         _ => dequantize_scalar(q, qtable, out),
     }
@@ -297,8 +287,7 @@ fn dequantize_scalar(q: &[i32; 64], qtable: &[f32; 64], out: &mut [f32; 64]) {
 /// Gathers an 8×8 block into scan order: `out[i] = src[order[i] & 63]`
 /// (the mask keeps the gather in bounds for any index table; the
 /// codec's zig-zag entries are already in `0..64`, so it is a no-op
-/// there). SSE2 has no gather instruction, so that level uses the
-/// scalar path.
+/// there).
 pub fn zigzag_gather(src: &[i32; 64], order: &[i32; 64], out: &mut [i32; 64], level: SimdLevel) {
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
@@ -332,9 +321,6 @@ pub fn sub_planes_f32(a: &[f32], b: &[f32], out: &mut [f32], level: SimdLevel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; equal lengths
         // asserted above keep every vector load/store in bounds.
-        SimdLevel::Sse2 => unsafe { x86::sub_planes_sse2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::sub_planes_avx2(a, b, out) },
         _ => sub_planes_scalar(a, b, out),
     }
@@ -356,9 +342,6 @@ pub fn add_planes_f32(dst: &mut [f32], src: &[f32], level: SimdLevel) {
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::add_planes_sse2(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::add_planes_avx2(dst, src) },
         _ => add_planes_scalar(dst, src),
     }
@@ -380,9 +363,6 @@ pub fn sub_scalar_f32(src: &[f32], s: f32, out: &mut [f32], level: SimdLevel) {
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::sub_scalar_sse2(src, s, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::sub_scalar_avx2(src, s, out) },
         _ => sub_scalar_scalar(src, s, out),
     }
@@ -400,9 +380,6 @@ pub fn add_scalar_f32(dst: &mut [f32], s: f32, level: SimdLevel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; single slice, offsets
         // bounded by its length.
-        SimdLevel::Sse2 => unsafe { x86::add_scalar_sse2(dst, s) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::add_scalar_avx2(dst, s) },
         _ => add_scalar_scalar(dst, s),
     }
@@ -424,9 +401,6 @@ pub fn clamp_unit_f32(dst: &mut [f32], level: SimdLevel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; single slice, offsets
         // bounded by its length.
-        SimdLevel::Sse2 => unsafe { x86::clamp_unit_sse2(dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::clamp_unit_avx2(dst) },
         _ => clamp_unit_scalar(dst),
     }
@@ -447,9 +421,6 @@ pub fn add_clamp_unit_f32(dst: &mut [f32], s: f32, level: SimdLevel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; single slice, offsets
         // bounded by its length.
-        SimdLevel::Sse2 => unsafe { x86::add_clamp_unit_sse2(dst, s) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::add_clamp_unit_avx2(dst, s) },
         _ => add_clamp_unit_scalar(dst, s),
     }
@@ -467,9 +438,6 @@ pub fn any_abs_above(src: &[f32], thresh: f32, level: SimdLevel) -> bool {
     match clamp_level(level) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level clamped to CPU capability; single slice.
-        SimdLevel::Sse2 => unsafe { x86::any_abs_above_sse2(src, thresh) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::any_abs_above_avx2(src, thresh) },
         _ => any_abs_above_scalar(src, thresh),
     }
@@ -535,9 +503,6 @@ pub fn ssim_moments_row(
         // SAFETY: level clamped to CPU capability; the length asserts
         // above guarantee every `ci + ki + lanes` load stays inside the
         // input rows and every store inside the five output planes.
-        SimdLevel::Sse2 => unsafe { x86::ssim_moments_sse2(a_row, b_row, kernel, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::ssim_moments_avx2(a_row, b_row, kernel, out) },
         _ => ssim_moments_scalar(a_row, b_row, kernel, out, 0),
     }
@@ -635,9 +600,6 @@ pub fn ssim_windows_row(
         // SAFETY: level clamped to CPU capability; the asserts above
         // guarantee every `ki * stride + ci + lanes` load stays inside
         // the five row slices and every store inside `out`.
-        SimdLevel::Sse2 => unsafe { x86::ssim_windows_sse2(rows, stride, kernel, c1, c2, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::ssim_windows_avx2(rows, stride, kernel, c1, c2, out) },
         _ => ssim_windows_scalar(rows, stride, kernel, c1, c2, out, 0),
     }
@@ -677,135 +639,9 @@ fn ssim_windows_scalar(
     }
 }
 
-// ---------------------------------------------------------------------
-// Renderer kernels
-// ---------------------------------------------------------------------
-
-/// In-place masked select: `dst[i] = src[i]` wherever `mask[i] != 0`
-/// (an exact bitwise select — no arithmetic).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn masked_select_f32(dst: &mut [f32], src: &[f32], mask: &[u8], level: SimdLevel) {
-    assert_eq!(dst.len(), src.len(), "plane lengths differ");
-    assert_eq!(dst.len(), mask.len(), "mask length differs");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::masked_select_sse2(dst, src, mask) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::masked_select_avx2(dst, src, mask) },
-        _ => masked_select_scalar(dst, src, mask),
-    }
-}
-
-fn masked_select_scalar(dst: &mut [f32], src: &[f32], mask: &[u8]) {
-    for ((d, &s), &m) in dst.iter_mut().zip(src).zip(mask) {
-        if m != 0 {
-            *d = s;
-        }
-    }
-}
-
-/// Per-row constants of the renderer's sphere intersection test. With
-/// `cs = col_sin[px]` and `cc = col_cos[px]`, a pixel hits when
-/// `((cs*ce)*vx + y_term + (cc*ce)*vz) / dist >= cos_half_width` —
-/// exactly the scalar `dir.dot(v) / dist` with its left-associated sum.
-#[derive(Debug, Clone, Copy)]
-pub struct SphereHit {
-    /// `cos(elevation)` of the row.
-    pub ce: f64,
-    /// Eye→center x component.
-    pub vx: f64,
-    /// Eye→center z component.
-    pub vz: f64,
-    /// Precomputed `row_sin[py] * vy` (the row-constant middle term).
-    pub y_term: f64,
-    /// Eye→center distance.
-    pub dist: f64,
-    /// Cosine of the object's angular half-width.
-    pub cos_half_width: f64,
-}
-
-/// Sphere hit test over a contiguous pixel span: `out[i] = 1` when the
-/// ray through `(col_sin[i], col_cos[i])` hits, else `0`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sphere_hit_mask(
-    col_sin: &[f64],
-    col_cos: &[f64],
-    p: &SphereHit,
-    out: &mut [u8],
-    level: SimdLevel,
-) {
-    assert_eq!(col_sin.len(), out.len(), "span lengths differ");
-    assert_eq!(col_cos.len(), out.len(), "span lengths differ");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::sphere_hit_sse2(col_sin, col_cos, p, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::sphere_hit_avx2(col_sin, col_cos, p, out) },
-        _ => sphere_hit_scalar(col_sin, col_cos, p, out),
-    }
-}
-
-fn sphere_hit_scalar(col_sin: &[f64], col_cos: &[f64], p: &SphereHit, out: &mut [u8]) {
-    for ((o, &cs), &cc) in out.iter_mut().zip(col_sin).zip(col_cos) {
-        let cosang = (cs * p.ce * p.vx + p.y_term + cc * p.ce * p.vz) / p.dist;
-        *o = u8::from(cosang >= p.cos_half_width);
-    }
-}
-
-/// Azimuthal slab hit test over a contiguous pixel span: wraps
-/// `azimuth[i] - center_azimuth` into `(-π, π]` and tests
-/// `|Δ| <= half_width`. Both inputs lie in `(-π, π]`, so the wrap is at
-/// most one ±2π step — which is why the SIMD paths' single masked
-/// correction is exactly the scalar `while` loops.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn slab_hit_mask(
-    azimuth: &[f64],
-    center_azimuth: f64,
-    half_width: f64,
-    out: &mut [u8],
-    level: SimdLevel,
-) {
-    assert_eq!(azimuth.len(), out.len(), "span lengths differ");
-    match clamp_level(level) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level clamped to CPU capability; equal lengths asserted.
-        SimdLevel::Sse2 => unsafe { x86::slab_hit_sse2(azimuth, center_azimuth, half_width, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        SimdLevel::Avx2 => unsafe { x86::slab_hit_avx2(azimuth, center_azimuth, half_width, out) },
-        _ => slab_hit_scalar(azimuth, center_azimuth, half_width, out),
-    }
-}
-
-fn slab_hit_scalar(azimuth: &[f64], center_azimuth: f64, half_width: f64, out: &mut [u8]) {
-    for (o, &az) in out.iter_mut().zip(azimuth) {
-        let mut da = az - center_azimuth;
-        while da > std::f64::consts::PI {
-            da -= std::f64::consts::TAU;
-        }
-        while da < -std::f64::consts::PI {
-            da += std::f64::consts::TAU;
-        }
-        *o = u8::from(da.abs() <= half_width);
-    }
-}
-
 /// The `std::arch` kernel bodies. Everything here is `pub(super)`,
-/// reachable only through the clamped dispatchers above; each fn's
-/// `#[target_feature]` matches the `SimdLevel` arm that calls it.
+/// reachable only through the `SimdLevel::Avx2` arms of the clamped
+/// dispatchers above, and every fn is `#[target_feature(enable = "avx2")]`.
 ///
 /// Bit-identity argument shared by all kernels: lanes are independent,
 /// each lane performs the same IEEE-754 single/double operations in the
@@ -823,7 +659,7 @@ mod x86 {
     // schedule the bit-identity argument depends on.
     #![allow(clippy::needless_range_loop)]
 
-    use super::{MomentRows, MomentRowsMut, SphereHit};
+    use super::{MomentRows, MomentRowsMut};
     use std::arch::x86_64::*;
 
     // ---- 8×8 DCT ----------------------------------------------------
@@ -861,39 +697,6 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dct_forward_sse2(
-        basis: &[[f32; 8]; 8],
-        basis_t: &[[f32; 8]; 8],
-        input: &[f32; 64],
-        output: &mut [f32; 64],
-    ) {
-        // Same schedule as the AVX2 version, in two 4-lane halves.
-        let mut tmp = [0.0f32; 64];
-        for y in 0..8 {
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for x in 0..8 {
-                let s = _mm_set1_ps(input[y * 8 + x]);
-                lo = _mm_add_ps(lo, _mm_mul_ps(s, _mm_loadu_ps(basis_t[x].as_ptr())));
-                hi = _mm_add_ps(hi, _mm_mul_ps(s, _mm_loadu_ps(basis_t[x].as_ptr().add(4))));
-            }
-            _mm_storeu_ps(tmp.as_mut_ptr().add(y * 8), lo);
-            _mm_storeu_ps(tmp.as_mut_ptr().add(y * 8 + 4), hi);
-        }
-        for v in 0..8 {
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for y in 0..8 {
-                let b = _mm_set1_ps(basis[v][y]);
-                lo = _mm_add_ps(lo, _mm_mul_ps(_mm_loadu_ps(tmp.as_ptr().add(y * 8)), b));
-                hi = _mm_add_ps(hi, _mm_mul_ps(_mm_loadu_ps(tmp.as_ptr().add(y * 8 + 4)), b));
-            }
-            _mm_storeu_ps(output.as_mut_ptr().add(v * 8), lo);
-            _mm_storeu_ps(output.as_mut_ptr().add(v * 8 + 4), hi);
-        }
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dct_inverse_avx2(
         basis: &[[f32; 8]; 8],
@@ -921,40 +724,6 @@ mod x86 {
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(t, b));
             }
             _mm256_storeu_ps(output.as_mut_ptr().add(y * 8), acc);
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dct_inverse_sse2(
-        basis: &[[f32; 8]; 8],
-        coeffs: &[f32; 64],
-        output: &mut [f32; 64],
-    ) {
-        let mut tmp = [0.0f32; 64];
-        for y in 0..8 {
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for v in 0..8 {
-                let b = _mm_set1_ps(basis[v][y]);
-                lo = _mm_add_ps(lo, _mm_mul_ps(_mm_loadu_ps(coeffs.as_ptr().add(v * 8)), b));
-                hi = _mm_add_ps(
-                    hi,
-                    _mm_mul_ps(_mm_loadu_ps(coeffs.as_ptr().add(v * 8 + 4)), b),
-                );
-            }
-            _mm_storeu_ps(tmp.as_mut_ptr().add(y * 8), lo);
-            _mm_storeu_ps(tmp.as_mut_ptr().add(y * 8 + 4), hi);
-        }
-        for y in 0..8 {
-            let mut lo = _mm_setzero_ps();
-            let mut hi = _mm_setzero_ps();
-            for u in 0..8 {
-                let t = _mm_set1_ps(tmp[y * 8 + u]);
-                lo = _mm_add_ps(lo, _mm_mul_ps(t, _mm_loadu_ps(basis[u].as_ptr())));
-                hi = _mm_add_ps(hi, _mm_mul_ps(t, _mm_loadu_ps(basis[u].as_ptr().add(4))));
-            }
-            _mm_storeu_ps(output.as_mut_ptr().add(y * 8), lo);
-            _mm_storeu_ps(output.as_mut_ptr().add(y * 8 + 4), hi);
         }
     }
 
@@ -1001,36 +770,6 @@ mod x86 {
         _mm256_movemask_epi8(z) == -1
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn quantize_sse2(
-        coeffs: &[f32; 64],
-        qtable: &[f32; 64],
-        out: &mut [i32; 64],
-    ) -> bool {
-        let half = _mm_set1_ps(0.5);
-        let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff));
-        let one = _mm_set1_epi32(1);
-        let zero_f = _mm_setzero_ps();
-        let mut nonzero = _mm_setzero_si128();
-        for i in (0..64).step_by(4) {
-            let c = _mm_loadu_ps(coeffs.as_ptr().add(i));
-            let q = _mm_loadu_ps(qtable.as_ptr().add(i));
-            let v = _mm_div_ps(c, q);
-            let t = _mm_cvttps_epi32(v);
-            let tf = _mm_cvtepi32_ps(t);
-            let diff = _mm_sub_ps(v, tf);
-            let ad = _mm_and_ps(diff, absmask);
-            let adj = _mm_and_si128(_mm_castps_si128(_mm_cmpge_ps(ad, half)), one);
-            let neg = _mm_castps_si128(_mm_cmplt_ps(v, zero_f));
-            let signed = _mm_sub_epi32(_mm_xor_si128(adj, neg), neg);
-            let r = _mm_add_epi32(t, signed);
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), r);
-            nonzero = _mm_or_si128(nonzero, r);
-        }
-        let z = _mm_cmpeq_epi32(nonzero, _mm_setzero_si128());
-        _mm_movemask_epi8(z) == 0xFFFF
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn dequantize_avx2(q: &[i32; 64], qtable: &[f32; 64], out: &mut [f32; 64]) {
         // `i32 as f32` and cvtepi32_ps are both round-to-nearest-even:
@@ -1042,15 +781,6 @@ mod x86 {
                 out.as_mut_ptr().add(i),
                 _mm256_mul_ps(_mm256_cvtepi32_ps(qi), qt),
             );
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dequantize_sse2(q: &[i32; 64], qtable: &[f32; 64], out: &mut [f32; 64]) {
-        for i in (0..64).step_by(4) {
-            let qi = _mm_loadu_si128(q.as_ptr().add(i).cast());
-            let qt = _mm_loadu_ps(qtable.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_mul_ps(_mm_cvtepi32_ps(qi), qt));
         }
     }
 
@@ -1079,17 +809,6 @@ mod x86 {
         super::sub_planes_scalar(&a[n..], &b[n..], &mut out[n..]);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sub_planes_sse2(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let va = _mm_loadu_ps(a.as_ptr().add(i));
-            let vb = _mm_loadu_ps(b.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_sub_ps(va, vb));
-        }
-        super::sub_planes_scalar(&a[n..], &b[n..], &mut out[n..]);
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn add_planes_avx2(dst: &mut [f32], src: &[f32]) {
         let n = dst.len() & !7;
@@ -1097,17 +816,6 @@ mod x86 {
             let d = _mm256_loadu_ps(dst.as_ptr().add(i));
             let s = _mm256_loadu_ps(src.as_ptr().add(i));
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-        }
-        super::add_planes_scalar(&mut dst[n..], &src[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn add_planes_sse2(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() & !3;
-        for i in (0..n).step_by(4) {
-            let d = _mm_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm_loadu_ps(src.as_ptr().add(i));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_add_ps(d, s));
         }
         super::add_planes_scalar(&mut dst[n..], &src[n..]);
     }
@@ -1123,17 +831,6 @@ mod x86 {
         super::sub_scalar_scalar(&src[n..], s, &mut out[n..]);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sub_scalar_sse2(src: &[f32], s: f32, out: &mut [f32]) {
-        let sv = _mm_set1_ps(s);
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let v = _mm_loadu_ps(src.as_ptr().add(i));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), _mm_sub_ps(v, sv));
-        }
-        super::sub_scalar_scalar(&src[n..], s, &mut out[n..]);
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn add_scalar_avx2(dst: &mut [f32], s: f32) {
         let sv = _mm256_set1_ps(s);
@@ -1141,17 +838,6 @@ mod x86 {
         for i in (0..n).step_by(8) {
             let v = _mm256_loadu_ps(dst.as_ptr().add(i));
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(v, sv));
-        }
-        super::add_scalar_scalar(&mut dst[n..], s);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn add_scalar_sse2(dst: &mut [f32], s: f32) {
-        let sv = _mm_set1_ps(s);
-        let n = dst.len() & !3;
-        for i in (0..n).step_by(4) {
-            let v = _mm_loadu_ps(dst.as_ptr().add(i));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_add_ps(v, sv));
         }
         super::add_scalar_scalar(&mut dst[n..], s);
     }
@@ -1170,22 +856,6 @@ mod x86 {
             let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(v, one);
             v = _mm256_or_ps(_mm256_and_ps(gt, one), _mm256_andnot_ps(gt, v));
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
-        }
-        super::clamp_unit_scalar(&mut dst[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn clamp_unit_sse2(dst: &mut [f32]) {
-        let zero = _mm_setzero_ps();
-        let one = _mm_set1_ps(1.0);
-        let n = dst.len() & !3;
-        for i in (0..n).step_by(4) {
-            let mut v = _mm_loadu_ps(dst.as_ptr().add(i));
-            let lt = _mm_cmplt_ps(v, zero);
-            v = _mm_andnot_ps(lt, v);
-            let gt = _mm_cmpgt_ps(v, one);
-            v = _mm_or_ps(_mm_and_ps(gt, one), _mm_andnot_ps(gt, v));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), v);
         }
         super::clamp_unit_scalar(&mut dst[n..]);
     }
@@ -1209,23 +879,6 @@ mod x86 {
         super::add_clamp_unit_scalar(&mut dst[n..], s);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn add_clamp_unit_sse2(dst: &mut [f32], s: f32) {
-        let sv = _mm_set1_ps(s);
-        let zero = _mm_setzero_ps();
-        let one = _mm_set1_ps(1.0);
-        let n = dst.len() & !3;
-        for i in (0..n).step_by(4) {
-            let mut v = _mm_add_ps(_mm_loadu_ps(dst.as_ptr().add(i)), sv);
-            let lt = _mm_cmplt_ps(v, zero);
-            v = _mm_andnot_ps(lt, v);
-            let gt = _mm_cmpgt_ps(v, one);
-            v = _mm_or_ps(_mm_and_ps(gt, one), _mm_andnot_ps(gt, v));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), v);
-        }
-        super::add_clamp_unit_scalar(&mut dst[n..], s);
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn any_abs_above_avx2(src: &[f32], thresh: f32) -> bool {
         let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
@@ -1235,20 +888,6 @@ mod x86 {
             let v = _mm256_and_ps(_mm256_loadu_ps(src.as_ptr().add(i)), absmask);
             // GT_OQ is false on NaN, like the scalar `>`.
             if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(v, t)) != 0 {
-                return true;
-            }
-        }
-        super::any_abs_above_scalar(&src[n..], thresh)
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn any_abs_above_sse2(src: &[f32], thresh: f32) -> bool {
-        let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff));
-        let t = _mm_set1_ps(thresh);
-        let n = src.len() & !3;
-        for i in (0..n).step_by(4) {
-            let v = _mm_and_ps(_mm_loadu_ps(src.as_ptr().add(i)), absmask);
-            if _mm_movemask_ps(_mm_cmpgt_ps(v, t)) != 0 {
                 return true;
             }
         }
@@ -1294,48 +933,6 @@ mod x86 {
             _mm256_storeu_pd(out.aa.as_mut_ptr().add(ci), maa);
             _mm256_storeu_pd(out.bb.as_mut_ptr().add(ci), mbb);
             _mm256_storeu_pd(out.ab.as_mut_ptr().add(ci), mab);
-        }
-        super::ssim_moments_scalar(a_row, b_row, kernel, out, nv);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn ssim_moments_sse2(
-        a_row: &[f32],
-        b_row: &[f32],
-        kernel: &[f64],
-        out: &mut MomentRowsMut<'_>,
-    ) {
-        let n = out.a.len();
-        let nv = n & !1;
-        for ci in (0..nv).step_by(2) {
-            let mut ma = _mm_setzero_pd();
-            let mut mb = _mm_setzero_pd();
-            let mut maa = _mm_setzero_pd();
-            let mut mbb = _mm_setzero_pd();
-            let mut mab = _mm_setzero_pd();
-            for (ki, &k) in kernel.iter().enumerate() {
-                let kx = _mm_set1_pd(k);
-                // cvtps_pd widens the two low f32 lanes (exact, matching
-                // the scalar `as f64`); loadl keeps the read to 8 bytes.
-                let va = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                    a_row.as_ptr().add(ci + ki).cast(),
-                )));
-                let vb = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                    b_row.as_ptr().add(ci + ki).cast(),
-                )));
-                let kva = _mm_mul_pd(kx, va);
-                let kvb = _mm_mul_pd(kx, vb);
-                ma = _mm_add_pd(ma, kva);
-                mb = _mm_add_pd(mb, kvb);
-                maa = _mm_add_pd(maa, _mm_mul_pd(kva, va));
-                mbb = _mm_add_pd(mbb, _mm_mul_pd(kvb, vb));
-                mab = _mm_add_pd(mab, _mm_mul_pd(kva, vb));
-            }
-            _mm_storeu_pd(out.a.as_mut_ptr().add(ci), ma);
-            _mm_storeu_pd(out.b.as_mut_ptr().add(ci), mb);
-            _mm_storeu_pd(out.aa.as_mut_ptr().add(ci), maa);
-            _mm_storeu_pd(out.bb.as_mut_ptr().add(ci), mbb);
-            _mm_storeu_pd(out.ab.as_mut_ptr().add(ci), mab);
         }
         super::ssim_moments_scalar(a_row, b_row, kernel, out, nv);
     }
@@ -1413,212 +1010,6 @@ mod x86 {
         }
         super::ssim_windows_scalar(rows, stride, kernel, c1, c2, out, nv);
     }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn ssim_windows_sse2(
-        rows: &MomentRows<'_>,
-        stride: usize,
-        kernel: &[f64],
-        c1: f64,
-        c2: f64,
-        out: &mut [f64],
-    ) {
-        let c1v = _mm_set1_pd(c1);
-        let c2v = _mm_set1_pd(c2);
-        let two = _mm_set1_pd(2.0);
-        let zero = _mm_setzero_pd();
-        let n = out.len();
-        let nv = n & !1;
-        for ci in (0..nv).step_by(2) {
-            let mut ma = _mm_setzero_pd();
-            let mut mb = _mm_setzero_pd();
-            let mut maa = _mm_setzero_pd();
-            let mut mbb = _mm_setzero_pd();
-            let mut mab = _mm_setzero_pd();
-            for (ki, &k) in kernel.iter().enumerate() {
-                let ky = _mm_set1_pd(k);
-                let o = ki * stride + ci;
-                ma = _mm_add_pd(ma, _mm_mul_pd(ky, _mm_loadu_pd(rows.a.as_ptr().add(o))));
-                mb = _mm_add_pd(mb, _mm_mul_pd(ky, _mm_loadu_pd(rows.b.as_ptr().add(o))));
-                maa = _mm_add_pd(maa, _mm_mul_pd(ky, _mm_loadu_pd(rows.aa.as_ptr().add(o))));
-                mbb = _mm_add_pd(mbb, _mm_mul_pd(ky, _mm_loadu_pd(rows.bb.as_ptr().add(o))));
-                mab = _mm_add_pd(mab, _mm_mul_pd(ky, _mm_loadu_pd(rows.ab.as_ptr().add(o))));
-            }
-            let mu_ab = _mm_mul_pd(ma, mb);
-            let var_a = _mm_sub_pd(maa, _mm_mul_pd(ma, ma));
-            let var_a = _mm_and_pd(_mm_cmpgt_pd(var_a, zero), var_a);
-            let var_b = _mm_sub_pd(mbb, _mm_mul_pd(mb, mb));
-            let var_b = _mm_and_pd(_mm_cmpgt_pd(var_b, zero), var_b);
-            let cov = _mm_sub_pd(mab, mu_ab);
-            let num = _mm_mul_pd(
-                _mm_add_pd(_mm_mul_pd(_mm_mul_pd(two, ma), mb), c1v),
-                _mm_add_pd(_mm_mul_pd(two, cov), c2v),
-            );
-            let den = _mm_mul_pd(
-                _mm_add_pd(_mm_add_pd(_mm_mul_pd(ma, ma), _mm_mul_pd(mb, mb)), c1v),
-                _mm_add_pd(_mm_add_pd(var_a, var_b), c2v),
-            );
-            _mm_storeu_pd(out.as_mut_ptr().add(ci), _mm_div_pd(num, den));
-        }
-        super::ssim_windows_scalar(rows, stride, kernel, c1, c2, out, nv);
-    }
-
-    // ---- renderer kernels -------------------------------------------
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn masked_select_avx2(dst: &mut [f32], src: &[f32], mask: &[u8]) {
-        let zero = _mm256_setzero_si256();
-        let n = dst.len() & !7;
-        for i in (0..n).step_by(8) {
-            let m8 = _mm_loadl_epi64(mask.as_ptr().add(i).cast());
-            let m32 = _mm256_cvtepu8_epi32(m8);
-            // Zero-extended bytes are all >= 0, so `> 0` == `!= 0`.
-            let sel = _mm256_castsi256_ps(_mm256_cmpgt_epi32(m32, zero));
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_blendv_ps(d, s, sel));
-        }
-        super::masked_select_scalar(&mut dst[n..], &src[n..], &mask[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn masked_select_sse2(dst: &mut [f32], src: &[f32], mask: &[u8]) {
-        let zero = _mm_setzero_si128();
-        let n = dst.len() & !3;
-        for i in (0..n).step_by(4) {
-            let raw = mask.as_ptr().add(i).cast::<u32>().read_unaligned();
-            let m8 = _mm_cvtsi32_si128(raw as i32);
-            let m32 = _mm_unpacklo_epi16(_mm_unpacklo_epi8(m8, zero), zero);
-            let sel = _mm_castsi128_ps(_mm_cmpgt_epi32(m32, zero));
-            let d = _mm_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm_loadu_ps(src.as_ptr().add(i));
-            let merged = _mm_or_ps(_mm_and_ps(sel, s), _mm_andnot_ps(sel, d));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), merged);
-        }
-        super::masked_select_scalar(&mut dst[n..], &src[n..], &mask[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sphere_hit_avx2(
-        col_sin: &[f64],
-        col_cos: &[f64],
-        p: &SphereHit,
-        out: &mut [u8],
-    ) {
-        // AVX2 implies AVX, so the 256-bit double ops are available.
-        let ce = _mm256_set1_pd(p.ce);
-        let vx = _mm256_set1_pd(p.vx);
-        let vz = _mm256_set1_pd(p.vz);
-        let yt = _mm256_set1_pd(p.y_term);
-        let dist = _mm256_set1_pd(p.dist);
-        let chw = _mm256_set1_pd(p.cos_half_width);
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let cs = _mm256_loadu_pd(col_sin.as_ptr().add(i));
-            let cc = _mm256_loadu_pd(col_cos.as_ptr().add(i));
-            let tx = _mm256_mul_pd(_mm256_mul_pd(cs, ce), vx);
-            let tz = _mm256_mul_pd(_mm256_mul_pd(cc, ce), vz);
-            let dot = _mm256_add_pd(_mm256_add_pd(tx, yt), tz);
-            let cosang = _mm256_div_pd(dot, dist);
-            let bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(cosang, chw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-            out[i + 2] = ((bits >> 2) & 1) as u8;
-            out[i + 3] = ((bits >> 3) & 1) as u8;
-        }
-        super::sphere_hit_scalar(&col_sin[n..], &col_cos[n..], p, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sphere_hit_sse2(
-        col_sin: &[f64],
-        col_cos: &[f64],
-        p: &SphereHit,
-        out: &mut [u8],
-    ) {
-        let ce = _mm_set1_pd(p.ce);
-        let vx = _mm_set1_pd(p.vx);
-        let vz = _mm_set1_pd(p.vz);
-        let yt = _mm_set1_pd(p.y_term);
-        let dist = _mm_set1_pd(p.dist);
-        let chw = _mm_set1_pd(p.cos_half_width);
-        let n = out.len() & !1;
-        for i in (0..n).step_by(2) {
-            let cs = _mm_loadu_pd(col_sin.as_ptr().add(i));
-            let cc = _mm_loadu_pd(col_cos.as_ptr().add(i));
-            let tx = _mm_mul_pd(_mm_mul_pd(cs, ce), vx);
-            let tz = _mm_mul_pd(_mm_mul_pd(cc, ce), vz);
-            let dot = _mm_add_pd(_mm_add_pd(tx, yt), tz);
-            let cosang = _mm_div_pd(dot, dist);
-            let bits = _mm_movemask_pd(_mm_cmpge_pd(cosang, chw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-        }
-        super::sphere_hit_scalar(&col_sin[n..], &col_cos[n..], p, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn slab_hit_avx2(
-        azimuth: &[f64],
-        center_azimuth: f64,
-        half_width: f64,
-        out: &mut [u8],
-    ) {
-        // Both azimuths lie in (-π, π], so Δ ∈ (-2π, 2π) and each scalar
-        // `while` loop fires at most once; the masked single-step
-        // correction below is that exact sequence (AND with the mask
-        // yields τ or +0.0, and x ∓ 0.0 / x ± 0.0 leaves the hit
-        // decision unchanged: only |Δ| is consumed).
-        let c = _mm256_set1_pd(center_azimuth);
-        let pi = _mm256_set1_pd(std::f64::consts::PI);
-        let npi = _mm256_set1_pd(-std::f64::consts::PI);
-        let tau = _mm256_set1_pd(std::f64::consts::TAU);
-        let hw = _mm256_set1_pd(half_width);
-        let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let n = out.len() & !3;
-        for i in (0..n).step_by(4) {
-            let mut da = _mm256_sub_pd(_mm256_loadu_pd(azimuth.as_ptr().add(i)), c);
-            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(da, pi);
-            da = _mm256_sub_pd(da, _mm256_and_pd(gt, tau));
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(da, npi);
-            da = _mm256_add_pd(da, _mm256_and_pd(lt, tau));
-            let ad = _mm256_and_pd(da, absmask);
-            let bits = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(ad, hw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-            out[i + 2] = ((bits >> 2) & 1) as u8;
-            out[i + 3] = ((bits >> 3) & 1) as u8;
-        }
-        super::slab_hit_scalar(&azimuth[n..], center_azimuth, half_width, &mut out[n..]);
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn slab_hit_sse2(
-        azimuth: &[f64],
-        center_azimuth: f64,
-        half_width: f64,
-        out: &mut [u8],
-    ) {
-        let c = _mm_set1_pd(center_azimuth);
-        let pi = _mm_set1_pd(std::f64::consts::PI);
-        let npi = _mm_set1_pd(-std::f64::consts::PI);
-        let tau = _mm_set1_pd(std::f64::consts::TAU);
-        let hw = _mm_set1_pd(half_width);
-        let absmask = _mm_castsi128_pd(_mm_set1_epi64x(0x7fff_ffff_ffff_ffff));
-        let n = out.len() & !1;
-        for i in (0..n).step_by(2) {
-            let mut da = _mm_sub_pd(_mm_loadu_pd(azimuth.as_ptr().add(i)), c);
-            let gt = _mm_cmpgt_pd(da, pi);
-            da = _mm_sub_pd(da, _mm_and_pd(gt, tau));
-            let lt = _mm_cmplt_pd(da, npi);
-            da = _mm_add_pd(da, _mm_and_pd(lt, tau));
-            let ad = _mm_and_pd(da, absmask);
-            let bits = _mm_movemask_pd(_mm_cmple_pd(ad, hw));
-            out[i] = (bits & 1) as u8;
-            out[i + 1] = ((bits >> 1) & 1) as u8;
-        }
-        super::slab_hit_scalar(&azimuth[n..], center_azimuth, half_width, &mut out[n..]);
-    }
 }
 
 #[cfg(test)]
@@ -1653,6 +1044,20 @@ mod tests {
         assert_eq!(levels[0], SimdLevel::Scalar);
         assert!(levels.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
+    }
+
+    #[test]
+    fn simd_override_parses_two_tiers_and_ignores_the_rest() {
+        assert_eq!(parse_level("scalar"), Some(SimdLevel::Scalar));
+        assert_eq!(parse_level("AVX2"), Some(SimdLevel::Avx2));
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            assert_eq!(parse_level(level.name()), Some(level));
+        }
+        // A stale `sse2` override, an empty value and garbage all mean
+        // auto-detect.
+        for stale in ["sse2", "SSE2", "", "avx512", "fast"] {
+            assert_eq!(parse_level(stale), None, "{stale:?}");
+        }
     }
 
     #[test]
@@ -1965,66 +1370,6 @@ mod tests {
             let got = run(level);
             for i in 0..n {
                 assert_eq!(want[i].to_bits(), got[i].to_bits(), "{level:?} center {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_select_levels_are_bit_identical() {
-        let n = 261;
-        let src = noise(12, n);
-        let base = noise(13, n);
-        let mask: Vec<u8> = (0..n)
-            .map(|i| ((i * 7) % 3 == 0) as u8 * ((i % 5) as u8 + 1))
-            .collect();
-        let mut want = base.clone();
-        masked_select_scalar(&mut want, &src, &mask);
-        for level in simd_levels() {
-            let mut got = base.clone();
-            masked_select_f32(&mut got, &src, &mask, level);
-            assert!(
-                got.iter()
-                    .zip(&want)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{level:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sphere_and_slab_levels_agree() {
-        let n = 157;
-        let angles: Vec<f64> = (0..n)
-            .map(|i| (i as f64 + 0.5) / n as f64 * std::f64::consts::TAU - std::f64::consts::PI)
-            .collect();
-        let col_sin: Vec<f64> = angles.iter().map(|a| a.sin()).collect();
-        let col_cos: Vec<f64> = angles.iter().map(|a| a.cos()).collect();
-        let p = SphereHit {
-            ce: 0.93,
-            vx: 1.7,
-            vz: -2.3,
-            y_term: 0.21,
-            dist: 3.1,
-            cos_half_width: 0.92,
-        };
-        let mut want = vec![0u8; n];
-        sphere_hit_scalar(&col_sin, &col_cos, &p, &mut want);
-        assert!(want.contains(&1) && want.contains(&0));
-        for level in simd_levels() {
-            let mut got = vec![0u8; n];
-            sphere_hit_mask(&col_sin, &col_cos, &p, &mut got, level);
-            assert_eq!(want, got, "sphere {level:?}");
-        }
-        // Slab: pick a center near the wrap seam so both correction
-        // branches fire.
-        for center in [3.0f64, -3.0, 0.4] {
-            let mut want_s = vec![0u8; n];
-            slab_hit_scalar(&angles, center, 0.35, &mut want_s);
-            assert!(want_s.contains(&1));
-            for level in simd_levels() {
-                let mut got = vec![0u8; n];
-                slab_hit_mask(&angles, center, 0.35, &mut got, level);
-                assert_eq!(want_s, got, "slab {level:?} center {center}");
             }
         }
     }

@@ -27,7 +27,6 @@
 
 use coterie_frame::LumaFrame;
 use coterie_parallel::par_for_each;
-use coterie_parallel::simd::{self, SimdLevel, SphereHit};
 use coterie_telemetry::{Stage, TelemetrySink, TrackId, KERNEL_PID};
 use coterie_world::noise::{value_noise, value_noise_cached, NoiseCellCache};
 use coterie_world::{ObjectKind, Scene, SceneObject, Terrain, Vec3};
@@ -254,13 +253,10 @@ struct Band<'a> {
     frame: &'a mut [f32],
     mask: &'a mut [u8],
     depth: &'a mut [f32],
-    /// Per-band hit-mask scratch row (one byte per panorama column),
-    /// reused across every object segment the band paints.
-    scratch: Vec<u8>,
 }
 
 /// The software panoramic renderer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Renderer {
     opts: RenderOptions,
     /// Requested band-parallel worker count; `0`/`1` renders serially.
@@ -270,22 +266,6 @@ pub struct Renderer {
     /// Telemetry sink for per-band render spans; disabled (a single
     /// branch per band) unless installed with [`Renderer::with_telemetry`].
     telemetry: TelemetrySink,
-    /// SIMD dispatch level for the hit-test/merge kernels. Every level
-    /// replicates the scalar operation order exactly, so output is
-    /// bit-identical at any setting (the golden-frame test pins this).
-    simd: SimdLevel,
-}
-
-impl Default for Renderer {
-    fn default() -> Self {
-        Renderer {
-            opts: RenderOptions::default(),
-            workers: 0,
-            tables: OnceLock::new(),
-            telemetry: TelemetrySink::default(),
-            simd: simd::detected_level(),
-        }
-    }
 }
 
 impl Renderer {
@@ -296,16 +276,7 @@ impl Renderer {
             workers: 1,
             tables: OnceLock::new(),
             telemetry: TelemetrySink::disabled(),
-            simd: simd::detected_level(),
         }
-    }
-
-    /// Pins the SIMD dispatch level for the renderer's hit-test kernels
-    /// (all levels produce bit-identical panoramas; useful for benches
-    /// and the golden-frame parity test).
-    pub fn with_simd_level(mut self, level: SimdLevel) -> Self {
-        self.simd = level;
-        self
     }
 
     /// Installs a telemetry sink: each rendered band emits one span on
@@ -427,7 +398,6 @@ impl Renderer {
                     frame: f_head,
                     mask: m_head,
                     depth: d_head,
-                    scratch: vec![0u8; w as usize],
                 });
                 y0 += rows;
             }
@@ -673,14 +643,8 @@ impl Renderer {
         let w = self.opts.width as i64;
         let wu = self.opts.width as usize;
         let band_end = (band.y0 + band.rows) as i64;
-        // The column walk `(cx + dxi).rem_euclid(w)` over
-        // `dxi in -half_w_px..=half_w_px` visits `span_len` pixels. When
-        // the span is narrower than the panorama each column appears at
-        // most once, as one or two contiguous segments (a wrap at the
-        // seam), which is the shape the SIMD hit-test kernels need. A
-        // span that laps the panorama revisits columns, so it keeps the
-        // original scalar walk.
-        let span_len = (2 * job.half_w_px + 1) as usize;
+        let tex_scale = 14.0;
+        let dist_f32 = job.dist as f32;
         for py in job.py_top.max(band.y0 as i64)..=job.py_bot.min(band_end - 1) {
             let pyu = py as usize;
             // The slab hit test's elevation half is row-constant; rows in
@@ -693,118 +657,56 @@ impl Renderer {
                 }
             }
             let row_off = (pyu - band.y0) * wu;
-            if span_len >= wu {
-                for dxi in -job.half_w_px..=job.half_w_px {
-                    let px = (job.cx as i64 + dxi).rem_euclid(w) as usize;
-                    let dir = tables.dir(px, pyu);
-                    let hit = match job.obj.kind {
-                        ObjectKind::Sphere => {
-                            let cosang = dir.dot(job.v) / job.dist;
-                            cosang >= job.cos_half_width
-                        }
-                        ObjectKind::Cylinder | ObjectKind::Box => {
-                            // Elevation containment already held for this
-                            // row.
-                            let azimuth = tables.azimuth[pyu * wu + px];
-                            let mut da = azimuth - job.center_azimuth;
-                            while da > std::f64::consts::PI {
-                                da -= std::f64::consts::TAU;
-                            }
-                            while da < -std::f64::consts::PI {
-                                da += std::f64::consts::TAU;
-                            }
-                            da.abs() <= job.half_width
-                        }
-                    };
-                    if hit {
-                        self.paint_object_pixel(job, tables, band, row_off, px, pyu);
+            // Columns `cx + dxi` for `dxi in -half_w_px..=half_w_px`,
+            // wrapped at the panorama seam; stepping the column avoids an
+            // integer division per pixel.
+            let mut next_px = (job.cx as i64 - job.half_w_px).rem_euclid(w) as usize;
+            for _ in -job.half_w_px..=job.half_w_px {
+                let px = next_px;
+                next_px = if px + 1 == wu { 0 } else { px + 1 };
+                let dir = tables.dir(px, pyu);
+                let hit = match job.obj.kind {
+                    ObjectKind::Sphere => {
+                        let cosang = dir.dot(job.v) / job.dist;
+                        cosang >= job.cos_half_width
                     }
-                }
-                continue;
-            }
-            let start = (job.cx as i64 - job.half_w_px).rem_euclid(w) as usize;
-            let seg1 = span_len.min(wu - start);
-            for (s0, len) in [(start, seg1), (0, span_len - seg1)] {
-                if len == 0 {
+                    ObjectKind::Cylinder | ObjectKind::Box => {
+                        // Elevation containment already held for this row.
+                        let azimuth = tables.azimuth[pyu * wu + px];
+                        let mut da = azimuth - job.center_azimuth;
+                        while da > std::f64::consts::PI {
+                            da -= std::f64::consts::TAU;
+                        }
+                        while da < -std::f64::consts::PI {
+                            da += std::f64::consts::TAU;
+                        }
+                        da.abs() <= job.half_width
+                    }
+                };
+                if !hit {
                     continue;
                 }
-                {
-                    let hits = &mut band.scratch[..len];
-                    match job.obj.kind {
-                        ObjectKind::Sphere => {
-                            let p = SphereHit {
-                                ce: tables.row_cos[pyu],
-                                vx: job.v.x,
-                                vz: job.v.z,
-                                y_term: tables.row_sin[pyu] * job.v.y,
-                                dist: job.dist,
-                                cos_half_width: job.cos_half_width,
-                            };
-                            simd::sphere_hit_mask(
-                                &tables.col_sin[s0..s0 + len],
-                                &tables.col_cos[s0..s0 + len],
-                                &p,
-                                hits,
-                                self.simd,
-                            );
-                        }
-                        ObjectKind::Cylinder | ObjectKind::Box => {
-                            // Elevation containment already held for this
-                            // row; only the azimuthal slab remains.
-                            let az0 = pyu * wu + s0;
-                            simd::slab_hit_mask(
-                                &tables.azimuth[az0..az0 + len],
-                                job.center_azimuth,
-                                job.half_width,
-                                hits,
-                                self.simd,
-                            );
-                        }
-                    }
+                let idx = row_off + px;
+                if band.depth[idx] <= dist_f32 {
+                    continue;
                 }
-                for i in 0..len {
-                    if band.scratch[i] != 0 {
-                        self.paint_object_pixel(job, tables, band, row_off, s0 + i, pyu);
-                    }
-                }
+                // World-anchored-ish texture: parameterize by the viewing
+                // direction relative to the object center. Far objects see
+                // a stable parameterization; near objects' texture slides
+                // quickly with viewpoint — amplifying the near-object
+                // effect exactly as real parallax does.
+                let rel = (dir * job.dist - job.v) / job.bounding;
+                let tex = value_noise(
+                    job.obj.texture_seed,
+                    (rel.x + rel.y * 0.7) * tex_scale,
+                    (rel.z - rel.y * 0.4) * tex_scale,
+                );
+                let shade = (job.obj.albedo * (0.55 + 0.45 * tex)) as f32;
+                band.frame[idx] = self.fog_apply(shade, job.fog_k).clamp(0.0, 1.0);
+                band.mask[idx] = 1;
+                band.depth[idx] = dist_f32;
             }
         }
-    }
-
-    /// Shades one hit pixel: depth test, viewpoint-relative texture, fog.
-    /// Shared by the scalar walk and the hit-mask paint loop.
-    #[inline]
-    fn paint_object_pixel(
-        &self,
-        job: &ObjectJob<'_>,
-        tables: &TrigTables,
-        band: &mut Band<'_>,
-        row_off: usize,
-        px: usize,
-        pyu: usize,
-    ) {
-        let dist_f32 = job.dist as f32;
-        let idx = row_off + px;
-        if band.depth[idx] <= dist_f32 {
-            return;
-        }
-        let dir = tables.dir(px, pyu);
-        // World-anchored-ish texture: parameterize by the viewing
-        // direction relative to the object center. Far objects see
-        // a stable parameterization; near objects' texture slides
-        // quickly with viewpoint — amplifying the near-object
-        // effect exactly as real parallax does.
-        let tex_scale = 14.0;
-        let rel = (dir * job.dist - job.v) / job.bounding;
-        let tex = value_noise(
-            job.obj.texture_seed,
-            (rel.x + rel.y * 0.7) * tex_scale,
-            (rel.z - rel.y * 0.4) * tex_scale,
-        );
-        let shade = (job.obj.albedo * (0.55 + 0.45 * tex)) as f32;
-        band.frame[idx] = self.fog_apply(shade, job.fog_k).clamp(0.0, 1.0);
-        band.mask[idx] = 1;
-        band.depth[idx] = dist_f32;
     }
 }
 

@@ -89,28 +89,24 @@ fn print_golden_hashes() {
 
 #[test]
 fn optimized_renderer_matches_scalar_golden_hashes() {
-    for level in coterie_parallel::simd::available_levels() {
-        for &workers in &[1usize, 2, 8] {
-            let renderer = Renderer::new(RenderOptions::default())
-                .with_workers(workers)
-                .with_simd_level(level);
-            for spec in GameCatalog::all() {
-                let scene = spec.build_scene(SCENE_SEED);
-                let eye = scene.eye(scene.bounds().center());
-                for (name, filter) in filters() {
-                    let pano = renderer.render_panorama(&scene, eye, filter);
-                    let hash = pano_hash(&pano);
-                    let expected = GOLDEN
-                        .iter()
-                        .find(|(g, f, _)| *g == spec.id && *f == name)
-                        .map(|(_, _, h)| *h)
-                        .unwrap_or_else(|| panic!("no golden entry for {:?}/{name}", spec.id));
-                    assert_eq!(
-                        hash, expected,
-                        "{:?}/{name} diverged from the scalar renderer at {workers} workers ({level:?})",
-                        spec.id
-                    );
-                }
+    for &workers in &[1usize, 2, 8] {
+        let renderer = Renderer::new(RenderOptions::default()).with_workers(workers);
+        for spec in GameCatalog::all() {
+            let scene = spec.build_scene(SCENE_SEED);
+            let eye = scene.eye(scene.bounds().center());
+            for (name, filter) in filters() {
+                let pano = renderer.render_panorama(&scene, eye, filter);
+                let hash = pano_hash(&pano);
+                let expected = GOLDEN
+                    .iter()
+                    .find(|(g, f, _)| *g == spec.id && *f == name)
+                    .map(|(_, _, h)| *h)
+                    .unwrap_or_else(|| panic!("no golden entry for {:?}/{name}", spec.id));
+                assert_eq!(
+                    hash, expected,
+                    "{:?}/{name} diverged from the scalar renderer at {workers} workers",
+                    spec.id
+                );
             }
         }
     }
